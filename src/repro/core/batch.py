@@ -13,17 +13,16 @@ with them bit for bit (pinned by ``tests/core/test_batch_equivalence.py``
 for queries and ``tests/core/test_batch_build_equivalence.py`` for
 construction).
 
-The module also hosts the two position kernels shared by the Bloom-probing
+The module also hosts the two hash kernels shared by the Bloom-probing
 filters:
 
 * :func:`positions_for_selection` — one *fixed* hash selection applied to a
-  whole batch (Bloom round 1, H0);
-* :func:`positions_for_matrix` — a *per-key* selection matrix, as decoded
-  from the HashExpressor (Bloom round 2).  For a
-  :class:`~repro.hashing.double_hashing.DoubleHashFamily` this collapses to
-  one vectorized multiply-add off the shared h1/h2 base pass; for a table
-  family the keys are grouped by selected function so each primitive runs
-  once per distinct index, not once per key.
+  whole batch (Bloom round 1, H0, and bulk insertion);
+* :func:`member_hashes` — a *per-key* family index over chosen rows, as
+  decoded from the HashExpressor (the chain walk and HABF round 2).  For a
+  :class:`~repro.hashing.double_hashing.DoubleHashFamily` this is one
+  multiply-add off the h1/h2 base pair; for a table family each distinct
+  index hashes only the rows that name it.
 """
 
 from __future__ import annotations
@@ -125,91 +124,36 @@ def positions_for_selection(family, batch: "vec.KeyBatch", selection: Sequence[i
     return family.hash_many(batch, indexes=list(selection), modulus=modulus)
 
 
-#: Batches at or below this size always take the memoised whole-batch pass:
-#: a vectorized pass over so few keys is dominated by fixed numpy overhead,
-#: so the reuse across engine stages is free.
-_MEMO_BATCH_LIMIT = 1024
+def member_hashes(family, batch: "vec.KeyBatch", rows, indexes):
+    """Full 64-bit hashes where batch row ``rows[i]`` uses ``family[indexes[i]]``.
 
-#: For larger batches, a group only takes the whole-batch pass when it covers
-#: at least this fraction of the batch (the extra rows are nearly free and
-#: later stages reuse the memo); smaller groups hash just their own rows.
-_MEMO_GROUP_FRACTION = 0.6
-
-
-def _positions_for_group(family, batch, family_index: int, group_rows, modulus: int):
-    """Positions of the keys at ``group_rows`` under one family member.
-
-    The HashExpressor chain walk and the HABF second round touch the same few
-    family indexes repeatedly, so whole-batch passes memoised on the batch
-    amortise well — but only when the group is a sizeable share of the batch
-    (or the batch is small enough that a pass costs fixed overhead anyway).
-    Otherwise hashing the group's own rows is strictly less work; ``take``
-    slices numpy state only, so the subset costs no Python-level per-row
-    effort.
+    ``indexes`` is one family index for every row, or a vector with one per
+    row — the per-key selections the HashExpressor walk and HABF's second
+    round probe under.  Only the listed rows are hashed (row-exact, see
+    :func:`repro.hashing.vectorized.hash_rows`): a
+    :class:`~repro.hashing.double_hashing.DoubleHashFamily` derives every
+    member from one memoised h1/h2 pair with a multiply-add; a table family
+    hashes each distinct index over just the rows that name it.  Callers
+    reduce the values by their own (possibly per-row) modulus.
     """
     np = vec.numpy_or_none()
-    cache_key = ("family-index-positions", id(family), family_index, modulus)
-    full = batch.cache.get(cache_key)
-    if full is not None:
-        return full[group_rows]
-    total = len(batch)
-    if total > _MEMO_BATCH_LIMIT and group_rows.size < _MEMO_GROUP_FRACTION * total:
-        return np.asarray(
-            family[family_index].hash_many(batch.take(group_rows), modulus)
-        )
-    full = family[family_index].hash_many(batch, modulus)
-    batch.cache[cache_key] = full
-    return full[group_rows]
-
-
-def positions_for_matrix(family, batch: "vec.KeyBatch", selection_matrix, modulus: int, rows=None):
-    """Bit positions under a per-key selection matrix.
-
-    ``selection_matrix`` is ``(m, k)`` of family indexes — row ``i`` is the
-    customised selection (as recovered from the HashExpressor) of the key at
-    batch row ``rows[i]`` (``rows=None`` means rows ``0..m-1``, i.e. the
-    whole batch).  Returns positions of the same shape.  Passing ``rows``
-    instead of a ``batch.take`` sub-batch keeps the per-index hash memo on
-    the *parent* batch, so the chain walk and the second-round probe share
-    one vectorized pass per family index.
-    """
-    np = vec.numpy_or_none()
-    selection_matrix = np.asarray(selection_matrix, dtype=np.int64)
-    if rows is None:
-        rows = np.arange(selection_matrix.shape[0])
+    rows = np.asarray(rows, dtype=np.intp)
     if isinstance(family, DoubleHashFamily):
-        h1, h2 = family.base_hashes_many(batch)
-        h1, odd = h1[rows], (h2 | np.uint64(1))[rows]
-        steps = (selection_matrix + 1).astype(np.uint64)
-        return (h1[:, None] + steps * odd[:, None]) % np.uint64(modulus)
-    positions = np.zeros(selection_matrix.shape, dtype=np.uint64)
-    for column in range(selection_matrix.shape[1]):
-        indexes = selection_matrix[:, column]
-        for family_index in np.unique(indexes):
-            members = np.flatnonzero(indexes == family_index)
-            positions[members, column] = _positions_for_group(
-                family, batch, int(family_index), rows[members], modulus
-            )
-    return positions
-
-
-def hash_for_index_vector(family, batch: "vec.KeyBatch", indexes, modulus: int, rows=None):
-    """One hash per entry where entry ``i`` uses ``family[indexes[i]]``.
-
-    The single-column case of :func:`positions_for_matrix`; used by the
-    HashExpressor chain walk, where each step's next cell is addressed by the
-    hash function stored in the current cell.  ``rows`` maps the entries onto
-    batch rows, letting the walk hash only the chains still alive.
-    """
-    np = vec.numpy_or_none()
-    return positions_for_matrix(
-        family, batch, np.asarray(indexes, dtype=np.int64)[:, None], modulus, rows=rows
-    )[:, 0]
+        h1, h2 = family.base_hashes_rows(batch, rows)
+        steps = np.asarray(indexes, dtype=np.uint64) + np.uint64(1)
+        return h1 + steps * (h2 | np.uint64(1))
+    if np.ndim(indexes) == 0:
+        return family[int(indexes)].hash_rows(batch, rows)
+    indexes = np.asarray(indexes, dtype=np.int64)
+    values = np.empty(rows.size, dtype=np.uint64)
+    for index in np.unique(indexes).tolist():
+        members = np.flatnonzero(indexes == index)
+        values[members] = family[index].hash_rows(batch, rows[members])
+    return values
 
 
 __all__ = [
     "BatchMembership",
+    "member_hashes",
     "positions_for_selection",
-    "positions_for_matrix",
-    "hash_for_index_vector",
 ]

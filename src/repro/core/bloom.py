@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Optional, Sequence, Union
 
-from repro.core.batch import BatchMembership, positions_for_matrix, positions_for_selection
+from repro.core.batch import BatchMembership, positions_for_selection
 from repro.core.bitarray import BitArray
 from repro.errors import ConfigurationError
 from repro.hashing.base import Key
@@ -291,18 +291,6 @@ class BloomFilter(BatchMembership):
             if not alive.size:
                 break
         return answers
-
-    def _probe_matrix(self, batch, selection_matrix, rows=None):
-        """Engine round: test a batch under per-key selections (HABF round 2).
-
-        ``rows`` maps the selection-matrix rows onto batch rows (see
-        :func:`repro.core.batch.positions_for_matrix`).
-        """
-        positions = positions_for_matrix(
-            self._family, batch, selection_matrix, len(self._bits), rows=rows
-        )
-        tested = self._bits.test_many(positions.reshape(-1))
-        return tested.reshape(positions.shape).all(axis=1)
 
     def _contains_batch(self, batch):
         """Batch form of :meth:`contains`: one H0 array probe."""

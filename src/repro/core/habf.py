@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence, Union
 
-from repro.core.batch import BatchMembership
+from repro.core.batch import BatchMembership, member_hashes
 from repro.core.bloom import BloomFilter
 from repro.core.hash_expressor import HashExpressor
 from repro.core.params import HABFParams
 from repro.core.tpjo import TPJOOptimizer, TPJOStats
 from repro.errors import ConfigurationError, ConstructionError
+from repro.hashing import vectorized as vec
 from repro.hashing.base import Key
 from repro.hashing.double_hashing import DoubleHashFamily
 from repro.hashing.registry import GLOBAL_HASH_FAMILY, HashFamily
@@ -53,6 +54,8 @@ class HABF(BatchMembership):
 
     #: Human-readable algorithm label used by the experiment reports.
     algorithm_name = "HABF"
+    #: Cached batch program, set once the filter is built (see _probe_plan).
+    _plan: Optional["HABFProbePlan"] = None
 
     def __init__(
         self,
@@ -175,35 +178,44 @@ class HABF(BatchMembership):
         return self.contains(key)
 
     def _contains_batch(self, batch):
-        """Batch form of the two-round query.
-
-        Round 1 is one vectorized H0 Bloom probe over the whole batch.  Only
-        the first-round misses (typically the negatives) enter round 2: one
-        lock-step HashExpressor chain walk recovers their customised
-        selections, and the keys with a valid selection get a second
-        vectorized Bloom probe under the decoded per-key selection matrix.
-        """
-        from repro.hashing import vectorized as vec
-
+        """Batch form of the two-round query: the one-filter :class:`HABFProbePlan`."""
         np = vec.numpy_or_none()
-        answers = self._bloom._contains_batch(batch)
-        expressor = self._expressor
-        if expressor is None:
-            return answers
-        missed = np.flatnonzero(~answers)
-        if not missed.size:
-            return answers
-        misses = batch.take(missed)
-        selections, valid = expressor.query_many_batch(misses, self._params.k)
-        recovered = np.flatnonzero(valid)
-        if not recovered.size:
-            return answers
-        # Round 2 probes on the same `misses` batch object (rows=recovered)
-        # so it reuses the per-family-index hashes the chain walk memoised.
-        answers[missed[recovered]] = self._bloom._probe_matrix(
-            misses, selections[recovered], rows=recovered
+        n = len(batch)
+        return self._probe_plan().contains(batch, np.arange(n), np.zeros(n, dtype=np.intp))
+
+    def _probe_plan(self) -> "HABFProbePlan":
+        """This filter's batch query program, built once the filter is built.
+
+        A HABF has no ``add``, so after :meth:`fit` (or a codec decode) its
+        bits and cells never change and the plan is kept; before that it is
+        rebuilt per call.
+        """
+        plan = self._plan
+        if plan is None:
+            plan = HABFProbePlan([self])
+            if self._built:
+                self._plan = plan
+        return plan
+
+    def probe_plan_key(self) -> tuple:
+        """Filters with equal keys can answer through one :class:`HABFProbePlan`.
+
+        The key holds what the program shares across its filters: the hash
+        family (by content — every f-HABF builds its own
+        :class:`~repro.hashing.double_hashing.DoubleHashFamily`), ``k`` and
+        ``H0``, plus the buffer a zero-copy filter's bits alias, so a fused
+        plan indexes that shared mapping instead of copying it.
+        """
+        buffer = self._bloom.bits._buffer
+        owner = id(buffer.obj) if isinstance(buffer, memoryview) else None
+        walk_family = self._expressor._family if self._expressor else self._family
+        return (
+            _family_key(self._family),
+            _family_key(walk_family),
+            self._params.k,
+            tuple(self._bloom.initial_selection),
+            owner,
         )
-        return answers
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -222,6 +234,11 @@ class HABF(BatchMembership):
     def expressor(self) -> Optional[HashExpressor]:
         """The HashExpressor, or ``None`` when ∆ = 0."""
         return self._expressor
+
+    @property
+    def built(self) -> bool:
+        """Whether :meth:`fit` has run (a built HABF never changes again)."""
+        return self._built
 
     @property
     def construction_stats(self) -> Optional[TPJOStats]:
@@ -243,6 +260,121 @@ class HABF(BatchMembership):
             f"{self.algorithm_name}(bloom_bits={self._bloom.num_bits}, "
             f"cells={cells}, k={self._params.k})"
         )
+
+
+def _family_key(family: FamilyLike) -> tuple:
+    """Content identity of a hash family: equal keys hash identically."""
+    if isinstance(family, DoubleHashFamily):
+        return ("double", family.primitive_name, family.seed)
+    return ("table",) + tuple((fn.primitive, fn.seed) for fn in family)
+
+
+def _bit_arena(bit_arrays):
+    """One uint8 array holding every filter's bits, plus each one's byte offset.
+
+    A lone filter probes its own buffer.  Zero-copy filters (bits that are
+    :meth:`~repro.core.bitarray.BitArray.view` slices of one mapping, as
+    :meth:`HABF.probe_plan_key` guarantees for a group) index that mapping
+    itself, so replicas never privately copy shared bits.  Filters owning
+    their bytes are laid end to end in a fresh array.
+    """
+    np = vec.numpy_or_none()
+    views = [np.frombuffer(bits._buffer, dtype=np.uint8) for bits in bit_arrays]
+    if len(views) == 1:
+        return views[0], [0]
+    buffer = bit_arrays[0]._buffer
+    if isinstance(buffer, memoryview):
+        arena = np.frombuffer(buffer.obj, dtype=np.uint8)
+        start = arena.__array_interface__["data"][0]
+        return arena, [view.__array_interface__["data"][0] - start for view in views]
+    offsets = np.cumsum([0] + [view.size for view in views[:-1]])
+    return np.concatenate(views), offsets
+
+
+class HABFProbePlan:
+    """The two-round HABF query (Section III-E) as one array program.
+
+    A plan answers for one or more built HABFs that share a hash family,
+    ``k`` and ``H0`` (see :meth:`HABF.probe_plan_key`): their Bloom bits sit
+    in one arena and their HashExpressor cell tables in one
+    :meth:`~repro.core.hash_expressor.HashExpressor.stack`, each filter (a
+    *part*) at its own offset with its own modulus.  :meth:`contains` then
+    runs one round-1 H0 probe, one lock-step chain walk and one round-2
+    probe over every row of a window, each row addressed through its part —
+    a sharded store answers all its HABF shards with one program instead of
+    one per shard.  All hashing is row-exact
+    (:func:`~repro.core.batch.member_hashes`), so a family index is hashed
+    only for the rows that use it.  A lone HABF is the one-part plan.
+    """
+
+    def __init__(self, filters: Sequence[HABF]) -> None:
+        np = vec.numpy_or_none()
+        first = filters[0]
+        self._family = first._family
+        self._k = first._params.k
+        self._selection = first._bloom.initial_selection
+        blooms = [filt._bloom for filt in filters]
+        self._bits, byte_offsets = _bit_arena([bloom.bits for bloom in blooms])
+        self._bit_base = np.asarray(byte_offsets, dtype=np.uint64) * np.uint64(8)
+        self._num_bits = np.asarray([bloom.num_bits for bloom in blooms], dtype=np.uint64)
+        expressors = [filt._expressor for filt in filters]
+        self._walks = np.asarray([e is not None for e in expressors], dtype=bool)
+        if not self._walks.any():
+            self._expressor = None
+        elif len(expressors) == 1:
+            self._expressor = expressors[0]
+        else:
+            self._expressor = HashExpressor.stack(expressors)
+
+    def contains(self, batch, rows, parts):
+        """Two-round verdicts for batch rows ``rows``; row ``i`` asks part ``parts[i]``.
+
+        Round 1 probes ``H0``.  Only the first-round misses of parts with a
+        HashExpressor (typically the negatives) are walked; the keys with a
+        valid selection get the round-2 probe under it.  Bit-identical to
+        each part's scalar ``contains``.
+        """
+        np = vec.numpy_or_none()
+        answers = self._probe(batch, rows, parts, self._selection)
+        if self._expressor is None:
+            return answers
+        missed = np.flatnonzero(~answers & self._walks[parts])
+        if not missed.size:
+            return answers
+        selections, valid = self._expressor.query_many_batch(
+            batch.take(rows[missed]), self._k, parts=parts[missed]
+        )
+        recovered = np.flatnonzero(valid)
+        if recovered.size:
+            rescued = missed[recovered]
+            answers[rescued] = self._probe(
+                batch, rows[rescued], parts[rescued], selections[recovered].T
+            )
+        return answers
+
+    def _probe(self, batch, rows, parts, columns):
+        """Bloom probe; column ``j`` hashes with ``columns[j]``.
+
+        Each column is one family index for every row (``H0``) or a vector
+        of per-row indexes (a decoded selection).  Rows drop out at their
+        first zero bit, so later columns hash only the rows still alive.
+        """
+        np = vec.numpy_or_none()
+        answers = np.ones(rows.size, dtype=bool)
+        alive = np.arange(rows.size)
+        num_bits, bit_base = self._num_bits[parts], self._bit_base[parts]
+        for indexes in columns:
+            if np.ndim(indexes):
+                indexes = indexes[alive]
+            hashed = member_hashes(self._family, batch, rows[alive], indexes)
+            position = hashed % num_bits[alive] + bit_base[alive]
+            byte = self._bits[(position >> np.uint64(3)).astype(np.intp)]
+            hits = (byte >> (position & np.uint64(7)).astype(np.uint8)) & 1 != 0
+            answers[alive[~hits]] = False
+            alive = alive[hits]
+            if not alive.size:
+                break
+        return answers
 
 
 class FastHABF(HABF):

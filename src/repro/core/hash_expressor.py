@@ -78,6 +78,55 @@ class HashExpressor:
         self._hash_index: List[int] = [0] * num_cells
         self._endbit: List[bool] = [False] * num_cells
         self._inserted_keys = 0
+        self._arrays = None
+
+    @classmethod
+    def stack(cls, expressors: Sequence[Optional["HashExpressor"]]) -> "HashExpressor":
+        """One expressor whose cell table is ``expressors``' tables end to end.
+
+        Part ``i`` of the stack is ``expressors[i]`` (``None`` is an empty,
+        zero-cell part).  A stack answers :meth:`query_many_batch` with
+        ``parts`` naming each row's part — the fused walk a sharded store
+        runs over all its HABF shards at once — and every row walks exactly
+        the chain its own expressor would.  The parts must share one hash
+        family, and a stack is a read-only batch-walk object: the scalar
+        methods treat it as a single table.
+        """
+        np = vec.numpy_or_none()
+        present = [e for e in expressors if e is not None]
+        tables = [e._cell_arrays() for e in present]
+        sizes = [e.num_cells if e is not None else 0 for e in expressors]
+        stacked = cls.__new__(cls)
+        stacked._num_cells = sum(sizes)
+        stacked._cell_hash_bits = max(e.cell_hash_bits for e in present)
+        stacked._family = present[0]._family
+        stacked._hash_index = np.concatenate([table[0] for table in tables])
+        stacked._endbit = np.concatenate([table[1] for table in tables])
+        stacked._inserted_keys = sum(e.inserted_keys for e in present)
+        stacked._arrays = (
+            stacked._hash_index,
+            stacked._endbit,
+            np.cumsum([0] + sizes[:-1]).astype(np.int64),
+            np.asarray(sizes, dtype=np.uint64),
+        )
+        return stacked
+
+    def _cell_arrays(self):
+        """``(hash_index, endbit, part_base, part_cells)`` as numpy arrays.
+
+        Built once and kept until the next insertion (a built HABF's
+        expressor never changes again); a plain expressor is a one-part
+        stack.
+        """
+        if self._arrays is None:
+            np = vec.numpy_or_none()
+            self._arrays = (
+                np.asarray(self._hash_index, dtype=np.int32),
+                np.asarray(self._endbit, dtype=bool),
+                np.zeros(1, dtype=np.int64),
+                np.full(1, self._num_cells, dtype=np.uint64),
+            )
+        return self._arrays
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -154,6 +203,7 @@ class HashExpressor:
         plan = self._search_chain(key, list(selection))
         if plan is None:
             return False
+        self._arrays = None
         for cell_index, family_index in plan:
             self._hash_index[cell_index] = family_index + 1
         last_cell = plan[-1][0]
@@ -253,27 +303,32 @@ class HashExpressor:
             return None
         return selection
 
-    def query_many_batch(self, batch: "vec.KeyBatch", k: int):
+    def query_many_batch(self, batch: "vec.KeyBatch", k: int, parts=None):
         """Vector form of :meth:`query` over an encoded batch.
 
         Walks all chains in lock-step: one iteration per chain position, each
-        doing whole-batch array reads of the cell table plus one grouped hash
-        pass for the next-cell addresses.  Returns ``(selections, valid)``
-        where ``selections`` is an ``(n, k)`` int64 matrix and ``valid`` a
-        bool vector — row ``r`` is meaningful only where ``valid[r]`` is
-        True; everywhere else the key falls back to ``H0`` (the scalar
-        ``None``).  Requires numpy (callers gate on the engine).
+        doing whole-batch array reads of the cell table plus one row-exact
+        hash per family index for the next-cell addresses (only the chains
+        still alive, and only the rows each index serves, are hashed).
+        Returns ``(selections, valid)`` where ``selections`` is an ``(n, k)``
+        int64 matrix and ``valid`` a bool vector — row ``r`` is meaningful
+        only where ``valid[r]`` is True; everywhere else the key falls back
+        to ``H0`` (the scalar ``None``).  On a :meth:`stack`, ``parts[r]``
+        names the part row ``r`` walks.  Requires numpy (callers gate on
+        the engine).
         """
         if k < 1:
             raise ConfigurationError("k must be at least 1")
-        from repro.core.batch import hash_for_index_vector
+        from repro.core.batch import member_hashes
 
         np = vec.numpy_or_none()
+        hash_index, endbit, part_base, part_cells = self._cell_arrays()
         n = len(batch)
-        hash_index = np.asarray(self._hash_index, dtype=np.int64)
-        cell = np.asarray(
-            _UNIFIED_HASH.hash_many(batch, self._num_cells), dtype=np.int64
-        )
+        rows = np.arange(n)
+        if parts is None:
+            parts = np.zeros(n, dtype=np.intp)
+        base, cells = part_base[parts], part_cells[parts]
+        cell = (_UNIFIED_HASH.hash_rows(batch, rows) % cells).astype(np.int64) + base
         alive = np.ones(n, dtype=bool)
         selections = np.zeros((n, k), dtype=np.int64)
         for step in range(k):
@@ -286,10 +341,9 @@ class HashExpressor:
                 if not live.size:
                     break
                 # Only the chains still alive need their next cell hashed.
-                cell[live] = hash_for_index_vector(
-                    self._family, batch, family_index[live], self._num_cells, rows=live
-                ).astype(np.int64)
-        valid = alive & np.asarray(self._endbit, dtype=bool)[cell]
+                hashed = member_hashes(self._family, batch, live, family_index[live])
+                cell[live] = (hashed % cells[live]).astype(np.int64) + base[live]
+        valid = alive & endbit[cell]
         if k > 1:
             ordered = np.sort(selections, axis=1)
             # A chain that revisits a hash cannot belong to an inserted key.

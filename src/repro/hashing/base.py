@@ -122,6 +122,21 @@ class HashFunction:
             return values % np.uint64(modulus)
         return values
 
+    def hash_rows(self, batch, rows):
+        """Full 64-bit hashes of the keys at ``rows`` of an encoded batch.
+
+        The row-exact form of :meth:`hash_many` (see
+        :func:`repro.hashing.vectorized.hash_rows`): only those rows are
+        hashed, memoised per row on the batch's window.  Requires numpy.
+        """
+        vec = _vectorized()
+        np = vec.numpy_or_none()
+        values = vec.hash_rows(self.primitive, batch, rows)
+        if self.seed:
+            salt = (self.seed * 0x9E3779B97F4A7C15) & _MASK64
+            values = vec.mix64(values ^ np.uint64(salt))
+        return values
+
     def with_seed(self, seed: int) -> "HashFunction":
         """Return a copy of this function using a different seed."""
         return HashFunction(name=self.name, index=self.index, primitive=self.primitive, seed=seed)

@@ -164,6 +164,19 @@ class DoubleHashFamily:
             batch.cache[cache_key] = cached
         return cached
 
+    def base_hashes_rows(self, batch, rows):
+        """``(h1, h2)`` for just the keys at ``rows`` of ``batch``.
+
+        Row-exact form of :meth:`base_hashes_many` (see
+        :func:`repro.hashing.vectorized.hash_rows`); the base primitive's
+        values are memoised per row on the batch's window.
+        """
+        from repro.hashing import vectorized as vec
+
+        np = vec.numpy_or_none()
+        raw = vec.hash_rows(self._base, batch, rows)
+        return vec.mix64(raw ^ np.uint64(self._salt1)), vec.mix64(raw ^ np.uint64(self._salt2))
+
     def hash_many(self, keys, indexes: Optional[Sequence[int]] = None, modulus: int = 0):
         """Batch counterpart of :meth:`repro.hashing.registry.HashFamily.hash_many`.
 

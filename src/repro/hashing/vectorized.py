@@ -724,3 +724,49 @@ def hash_batch(primitive: Callable[[bytes], int], batch: KeyBatch):
             )
     batch.cache[cache_key] = values
     return values
+
+
+def hash_rows(primitive: Callable[[bytes], int], batch: KeyBatch, rows):
+    """Hash only the keys at ``rows`` of ``batch`` with ``primitive``.
+
+    The row-exact twin of :func:`hash_batch` for engine stages that touch a
+    few rows per hash function — the HABF chain walk and second-round probe,
+    where each family index serves just the rows whose selection names it.
+    ``rows`` index ``batch``; values are memoised per row on the *window*
+    (the root of ``batch``'s :meth:`KeyBatch.take` chain), so every stage
+    and every sub-batch of one window hashes a key under one primitive at
+    most once.  A whole-window pass already on the window (the router's
+    xxhash, say) is sliced for free.  Up to :data:`SCALAR_CROSSOVER_ROWS`
+    missing rows are hashed with the scalar primitive; more take the
+    memoised window pass (or, on windows past ``_PARENT_EAGER_ROWS`` rows, a
+    vectorized pass over just the missing rows).  Results are bit-identical
+    to :func:`hash_batch`.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    while batch._parent is not None:
+        rows = batch._rows[rows]
+        batch = batch._parent
+    cache_key = ("primitive", primitive)
+    full = batch.cache.get(cache_key)
+    if full is not None:
+        return full[rows]
+    memo = batch.cache.get(("primitive-rows", primitive))
+    if memo is None:
+        memo = (np.zeros(len(batch), dtype=np.uint64), np.zeros(len(batch), dtype=bool))
+        batch.cache[("primitive-rows", primitive)] = memo
+    values, known = memo
+    missing = rows[~known[rows]]
+    vectorized = _BY_CALLABLE.get(primitive)
+    if missing.size > SCALAR_CROSSOVER_ROWS and vectorized is not None:
+        if len(batch) <= _PARENT_EAGER_ROWS:
+            return hash_batch(primitive, batch)[rows]
+        values[missing] = vectorized(batch.take(missing))
+    elif missing.size:
+        data = batch.data
+        values[missing] = np.fromiter(
+            ((primitive(data[row]) & _MASK64) for row in missing.tolist()),
+            dtype=np.uint64,
+            count=missing.size,
+        )
+    known[missing] = True
+    return values[rows]

@@ -10,7 +10,8 @@ pipeline step:
 * ``queue_wait`` — how long a window stayed open collecting callers;
 * ``window_assembly`` — building the engine request (``KeyBatch.concat``);
 * ``engine_dispatch`` — the full ``query_batch`` round trip;
-* ``shard_probe`` — each shard's backend probe inside the store.
+* ``shard_probe`` — each shard group's backend probe inside the store (one
+  for all HABF shards answered by one fused program, one per other shard).
 
 Stage durations land in one histogram family
 (``repro_stage_seconds{stage=...}``) on the tracer's registry, and — for

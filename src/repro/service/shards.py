@@ -10,9 +10,11 @@ Sharding serves three purposes the single-filter core cannot:
 * **rebuild granularity** — the serving layer swaps whole stores atomically,
   and per-shard key-set fingerprints let a rebuild skip every shard whose
   keys did not change (:meth:`ShardedFilterStore.rebuild_from`);
-* **batch locality** — ``query_many`` groups a batch's keys per shard and
-  answers each group with one ``contains_many`` call, the pattern a gateway
-  checking a page full of URLs produces.
+* **batch locality** — ``query_many`` routes a batch once and answers it
+  per shard group, the pattern a gateway checking a page full of URLs
+  produces: all HABF shards sharing a hash family run one fused two-round
+  program (:class:`~repro.core.habf.HABFProbePlan`), every other shard one
+  engine call.
 
 The router hashes keys with a hash that is *independent* of every filter's
 own hash family (a salted xxhash), so shard placement never correlates with
@@ -30,6 +32,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.habf import HABF, HABFProbePlan
 from repro.errors import ConfigurationError
 from repro.hashing import vectorized as vec
 from repro.hashing.base import Key, mix64, normalize_key
@@ -257,6 +260,10 @@ class ShardedFilterStore:
         # from multiple threads, so they need their own lock (queries
         # themselves touch only immutable filter state and stay lock-free).
         self._stats_lock = threading.Lock()
+        # Fused HABF probe programs, built on the first engine query (see
+        # _probe_groups); every constructor lands here, so a successor store
+        # never answers from its predecessor's plan.
+        self._groups: Optional[List[Tuple[HABFProbePlan, object, object]]] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -822,9 +829,11 @@ class ShardedFilterStore:
         """Batch membership test, in input order.
 
         With numpy available the whole batch is encoded once, the shard
-        partition is one vectorized router pass, and each shard's group is
-        answered with one engine call (sharing the encoded sub-batch with the
-        filter's array program).  Callers that already hold an encoded
+        partition is one vectorized router pass, the HABF shards that share
+        a hash family answer all their rows with one fused two-round program,
+        and each other shard's group is answered with one engine call
+        (sharing the encoded sub-batch with the filter's array program).
+        Callers that already hold an encoded
         :class:`~repro.hashing.vectorized.KeyBatch` (the asyncio
         micro-batcher encodes its flush window before dispatch) may pass it
         directly and the encoding is reused.  Without numpy, keys are grouped
@@ -864,15 +873,64 @@ class ShardedFilterStore:
                 stats.positives += hits
         return results
 
+    def _probe_groups(self) -> List[Tuple["HABFProbePlan", object, object]]:
+        """The store's fused HABF programs: ``(plan, member shards, slot per shard)``.
+
+        Resident HABF / f-HABF shards with equal
+        :meth:`~repro.core.habf.HABF.probe_plan_key` share one
+        :class:`~repro.core.habf.HABFProbePlan`; ``slot[shard]`` is the
+        shard's part in it (-1 for shards outside the group).  Every other
+        shard — Bloom, Xor, empty shards, lazy disk proxies (never decoded
+        here) — keeps its own engine call.  Built once per store object;
+        filters are immutable, so the plan stays valid for its lifetime.
+        """
+        groups = self._groups
+        if groups is None:
+            np = vec.numpy_or_none()
+            members: Dict[tuple, List[int]] = {}
+            for shard, filt in enumerate(self._filters):
+                if isinstance(filt, HABF) and filt.built:
+                    members.setdefault(filt.probe_plan_key(), []).append(shard)
+            groups = []
+            for shards in members.values():
+                slot = np.full(len(self._filters), -1, dtype=np.intp)
+                slot[shards] = np.arange(len(shards))
+                plan = HABFProbePlan([self._filters[shard] for shard in shards])
+                groups.append((plan, np.asarray(shards), slot))
+            self._groups = groups
+        return groups
+
     def _query_many_vectorized(self, np, batch: "vec.KeyBatch") -> List[bool]:
-        """Engine path of :meth:`query_many`: one partition, one gather."""
+        """Engine path of :meth:`query_many`: one partition, one gather.
+
+        Each fused HABF group answers all of its rows with one program;
+        the remaining shards answer their own rows one engine call each.
+        """
         shards = self._router.shard_of_many(batch)
         results = np.zeros(len(batch), dtype=bool)
-        for shard in np.unique(shards):
+        unserved = None
+        for plan, members, slot in self._probe_groups():
+            parts = slot[shards]
+            rows = np.flatnonzero(parts >= 0)
+            if not rows.size:
+                continue
+            with stage("shard_probe", shards=int(members.size), backend=self._backend_name):
+                answers = plan.contains(batch, rows, parts[rows])
+            results[rows] = answers
+            if unserved is None:
+                unserved = np.ones(len(batch), dtype=bool)
+            unserved[rows] = False
+            routed = shards[rows]
+            self._count_traffic(
+                np.bincount(routed, minlength=self.num_shards),
+                np.bincount(routed[answers], minlength=self.num_shards),
+            )
+        rest = shards if unserved is None else shards[unserved]
+        for shard in np.unique(rest).tolist():
             positions = np.flatnonzero(shards == shard)
-            filt = self._filters[int(shard)]
+            filt = self._filters[shard]
             sub = batch.take(positions)
-            with stage("shard_probe", shard=int(shard), backend=self._backend_name):
+            with stage("shard_probe", shard=shard, backend=self._backend_name):
                 answers = None
                 batch_fn = getattr(filt, "_contains_batch", None)
                 if batch_fn is not None:
@@ -889,10 +947,18 @@ class ShardedFilterStore:
                         )
             results[positions] = answers
             with self._stats_lock:
-                stats = self._stats[int(shard)]
+                stats = self._stats[shard]
                 stats.queries += int(positions.size)
                 stats.positives += int(np.count_nonzero(answers))
         return results.tolist()
+
+    def _count_traffic(self, queries, positives) -> None:
+        """Add per-shard query / positive counts (ndarrays indexed by shard)."""
+        with self._stats_lock:
+            for shard in queries.nonzero()[0].tolist():
+                stats = self._stats[shard]
+                stats.queries += int(queries[shard])
+                stats.positives += int(positives[shard])
 
     def record_shard_traffic(self, keys: "vec.BatchLike", verdicts: Sequence[bool]):
         """Fold externally-answered traffic into the per-shard counters.
@@ -912,12 +978,10 @@ class ShardedFilterStore:
                 return np.zeros(0, dtype=np.int64)
             shards = self._router.shard_of_many(batch)
             hits = np.asarray(verdicts, dtype=bool)
-            with self._stats_lock:
-                for shard in np.unique(shards):
-                    mask = shards == shard
-                    stats = self._stats[int(shard)]
-                    stats.queries += int(np.count_nonzero(mask))
-                    stats.positives += int(np.count_nonzero(hits[mask]))
+            self._count_traffic(
+                np.bincount(shards, minlength=self.num_shards),
+                np.bincount(shards[hits], minlength=self.num_shards),
+            )
             return shards
         plain = list(keys.keys) if isinstance(keys, vec.KeyBatch) else list(keys)
         shards = [self._router.shard_of(key) for key in plain]

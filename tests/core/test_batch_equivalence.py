@@ -120,19 +120,215 @@ def test_zero_false_negatives_through_engine(built_filters, small_shalla):
         assert all(answers), f"{name} dropped a positive key on the batch path"
 
 
-def test_sharded_store_query_many_matches_scalar(small_shalla, probe_keys):
-    batch_store = ShardedFilterStore.build(
-        small_shalla.positives, small_shalla.negatives, num_shards=4, backend="f-habf"
+class _NoExpressorHABF:
+    """A HABF policy with ∆ = 0: no HashExpressor, so shards answer from round 1 alone."""
+
+    name = "habf"
+
+    def create_filter(self, keys, negatives=(), costs=None):
+        params = HABFParams(total_bits=10 * len(keys), k=3, delta=0.0)
+        return HABF.build(keys, negatives, costs=costs, params=params)
+
+
+def _with_always_contains_shard(store):
+    """Swap one shard for the empty-policy filter a kvstore policy returns."""
+    return store.replace_shards({2: (AlwaysContainsFilter(), 0, 9, None, "habf")})
+
+
+def _zero_copy_with_private_shard(ds, costs):
+    """A follower-style store: zero-copy shards plus one privately held shard."""
+    built = ShardedFilterStore.build(
+        ds.positives, ds.negatives, costs=costs, num_shards=8, backend="habf"
     )
-    scalar_store = ShardedFilterStore.build(
-        small_shalla.positives, small_shalla.negatives, num_shards=4, backend="f-habf"
-    )
-    assert batch_store.query_many(probe_keys) == [
-        scalar_store.query(key) for key in probe_keys
+    shared = codec.loads(memoryview(codec.dumps(built)), zero_copy=True)
+    count = built.shard_key_counts[3]
+    return shared.replace_shards({3: (built.filters[3], count, 2, None, "habf")})
+
+
+STORE_BUILDERS = {
+    "f-habf-4": lambda ds, costs: ShardedFilterStore.build(
+        ds.positives, ds.negatives, num_shards=4, backend="f-habf"
+    ),
+    "habf-zipf-16": lambda ds, costs: ShardedFilterStore.build(
+        ds.positives, ds.negatives, costs=costs, num_shards=16, backend="habf"
+    ),
+    "f-habf-zipf-16": lambda ds, costs: ShardedFilterStore.build(
+        ds.positives, ds.negatives, costs=costs, num_shards=16, backend="f-habf"
+    ),
+    "habf-no-expressor": lambda ds, costs: ShardedFilterStore.build(
+        ds.positives, ds.negatives, num_shards=8, backend=_NoExpressorHABF()
+    ),
+    "habf-mixed-expressors": lambda ds, costs: ShardedFilterStore.build(
+        ds.positives,
+        ds.negatives,
+        costs=costs,
+        num_shards=8,
+        backend="habf",
+        shard_backends={1: _NoExpressorHABF(), 5: _NoExpressorHABF()},
+    ),
+    "habf-no-negatives": lambda ds, costs: ShardedFilterStore.build(
+        ds.positives, num_shards=8, backend="habf"
+    ),
+    "habf-empty-shards": lambda ds, costs: _with_always_contains_shard(
+        ShardedFilterStore.build(ds.positives[:12], ds.negatives, num_shards=16, backend="habf")
+    ),
+    "mixed-adaptive": lambda ds, costs: ShardedFilterStore.build(
+        ds.positives,
+        ds.negatives,
+        costs=costs,
+        num_shards=8,
+        backend="habf",
+        shard_backends={1: "bloom-dh", 2: "xor", 3: "f-habf", 6: "f-habf"},
+    ),
+    "habf-zero-copy": lambda ds, costs: codec.loads(
+        memoryview(codec.dumps(
+            ShardedFilterStore.build(
+                ds.positives, ds.negatives, costs=costs, num_shards=16, backend="habf"
+            )
+        )),
+        zero_copy=True,
+    ),
+    "habf-zero-copy-mixed": _zero_copy_with_private_shard,
+    "f-habf-zero-copy": lambda ds, costs: codec.loads(
+        memoryview(codec.dumps(
+            ShardedFilterStore.build(ds.positives, ds.negatives, num_shards=4, backend="f-habf")
+        )),
+        zero_copy=True,
+    ),
+}
+
+
+#: Stores built from only a prefix of the positives (the rest are absent).
+_STORE_KEYS = {"habf-empty-shards": 12}
+
+
+def _routed_scalar(store, keys):
+    """The reference oracle: each key's own shard filter, scalar ``contains``."""
+    return [bool(store.filters[store.shard_of(key)].contains(key)) for key in keys]
+
+
+@pytest.fixture(scope="module")
+def built_stores(small_shalla, skewed_costs):
+    return {
+        name: build(small_shalla, skewed_costs) for name, build in STORE_BUILDERS.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def window_keys(small_shalla):
+    keys = small_shalla.negatives + small_shalla.positives
+    random.Random(21).shuffle(keys)
+    return keys
+
+
+@pytest.mark.parametrize("window", [1, 32, 33, 64, 1024])
+@pytest.mark.parametrize("name", list(STORE_BUILDERS))
+def test_sharded_store_query_many_matches_scalar(name, window, built_stores, window_keys, small_shalla):
+    store = built_stores[name]
+    keys = window_keys[: max(4 * window, 256)]
+    answers = []
+    for start in range(0, len(keys), window):
+        answers.extend(store.query_many(vectorized.KeyBatch(keys[start : start + window])))
+    assert answers == _routed_scalar(store, keys)
+    positives = set(small_shalla.positives[: _STORE_KEYS.get(name)])
+    assert all(answer for key, answer in zip(keys, answers) if key in positives)
+
+
+def test_fused_groups_cover_the_habf_shards(built_stores):
+    assert len(built_stores["habf-zipf-16"]._probe_groups()) == 1
+    assert len(built_stores["habf-mixed-expressors"]._probe_groups()) == 1
+    # Shards aliasing the shared frame and a privately held one never share
+    # an arena: the private shard's bits are not inside the mapping.
+    assert len(built_stores["habf-zero-copy-mixed"]._probe_groups()) == 2
+    # Each f-HABF owns its DoubleHashFamily; equal content still fuses.
+    (plan, members, _slot), = built_stores["f-habf-zipf-16"]._probe_groups()
+    assert members.tolist() == list(range(16))
+    mixed = built_stores["mixed-adaptive"]._probe_groups()
+    assert sorted(members.tolist() for _plan, members, _slot in mixed) == [
+        [0, 4, 5, 7], [3, 6]
     ]
-    batch_stats = {s.shard: (s.queries, s.positives) for s in batch_store.shard_stats()}
-    scalar_stats = {s.shard: (s.queries, s.positives) for s in scalar_store.shard_stats()}
-    assert batch_stats == scalar_stats
+    empty = built_stores["habf-empty-shards"]
+    fused = {shard for _plan, members, _slot in empty._probe_groups() for shard in members.tolist()}
+    assert fused == {
+        shard for shard, filt in enumerate(empty.filters) if isinstance(filt, HABF)
+    }
+
+
+def test_zero_copy_store_plan_indexes_the_frame_instead_of_copying(small_shalla):
+    np = pytest.importorskip("numpy")
+    frame = codec.dumps(
+        ShardedFilterStore.build(small_shalla.positives, small_shalla.negatives, num_shards=8)
+    )
+    store = codec.loads(memoryview(frame), zero_copy=True)
+    (plan, _members, _slot), = store._probe_groups()
+    assert not plan._bits.flags.owndata
+    assert np.shares_memory(plan._bits, np.frombuffer(frame, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("backend", ["habf", "f-habf"])
+def test_sharded_store_counters_match_the_per_shard_path(
+    backend, small_shalla, skewed_costs, window_keys
+):
+    fused = ShardedFilterStore.build(
+        small_shalla.positives, small_shalla.negatives, costs=skewed_costs,
+        num_shards=16, backend=backend,
+    )
+    scalar = ShardedFilterStore.build(
+        small_shalla.positives, small_shalla.negatives, costs=skewed_costs,
+        num_shards=16, backend=backend,
+    )
+    keys = window_keys[:640]
+    for start in range(0, len(keys), 64):
+        fused.query_many(keys[start : start + 64])
+    assert [scalar.query(key) for key in keys] == _routed_scalar(fused, keys)
+    fused_stats = {s.shard: (s.queries, s.positives) for s in fused.shard_stats()}
+    scalar_stats = {s.shard: (s.queries, s.positives) for s in scalar.shard_stats()}
+    assert fused_stats == scalar_stats
+
+
+def test_successor_stores_never_answer_from_the_previous_plan(small_shalla, skewed_costs):
+    base = small_shalla.positives[:800]
+    added = small_shalla.positives[800:]
+    negatives = small_shalla.negatives
+    store = ShardedFilterStore.build(
+        base, negatives, costs=skewed_costs, num_shards=16, backend="habf"
+    )
+    probe = base + added + negatives[:400]
+    assert store.query_many(probe) == _routed_scalar(store, probe)  # plan built
+    for step in range(0, len(added), 100):
+        keys = base + added[: step + 100]
+        store, rebuilt, _skipped = ShardedFilterStore.rebuild_from(
+            store, keys, negatives, costs=skewed_costs, backend="habf"
+        )
+        assert rebuilt
+        answers = store.query_many(probe)
+        assert answers == _routed_scalar(store, probe)
+        assert all(answers[: len(keys)]), "a positive answered 0 after the rebuild"
+    # replace_shards: the swapped-in filter answers, not the old plan's part.
+    shard = store.shard_of(negatives[0])
+    owned = [key for key in probe if store.shard_of(key) == shard]
+    replacement = HABF.build(owned, params=_params(small_shalla))
+    swapped = store.replace_shards({shard: (replacement, len(owned), 99, None, "habf")})
+    assert swapped.query_many(probe) == _routed_scalar(swapped, probe)
+    assert all(swapped.query_many(owned))
+
+
+def test_disk_backed_service_matches_scalar_without_decoding_for_the_plan(
+    tmp_path, small_shalla, skewed_costs, window_keys
+):
+    from repro.service import MembershipService
+
+    service = MembershipService(backend="habf", num_shards=8, store_path=tmp_path / "store")
+    service.load(small_shalla.positives, small_shalla.negatives, costs=skewed_costs)
+    store = service.snapshot.store
+    cold = service.disk_store.cache_stats()
+    assert store._probe_groups() == []  # lazy proxies stay per-shard and cold
+    assert service.disk_store.cache_stats() == cold
+    keys = window_keys[:512]
+    answers = []
+    for start in range(0, len(keys), 64):
+        answers.extend(service.query_many(keys[start : start + 64]))
+    assert answers == _routed_scalar(store, keys)
 
 
 def test_sharded_store_fallback_without_numpy(small_shalla, probe_keys, monkeypatch):
@@ -188,3 +384,42 @@ def test_bitarray_batch_bounds_checking():
         array.test_many([-65])
     # The failed call must not have set anything.
     assert array.count() == 0
+
+
+def test_concurrent_windows_share_one_store_with_exact_counters(
+    small_shalla, skewed_costs, window_keys
+):
+    """Threads racing a fresh store's first queries (and the lazy plan build)
+    must still get scalar verdicts and lose no counter update."""
+    import sys
+    import threading
+
+    store = ShardedFilterStore.build(
+        small_shalla.positives, small_shalla.negatives, costs=skewed_costs,
+        num_shards=16, backend="habf",
+    )
+    keys = window_keys[:512]
+    expected = _routed_scalar(store, keys)
+    windows = [keys[start : start + 32] for start in range(0, len(keys), 32)]
+    failures = []
+
+    def worker():
+        for start, window in zip(range(0, len(keys), 32), windows):
+            if store.query_many(window) != expected[start : start + 32]:
+                failures.append(start)
+
+    threads = [threading.Thread(target=worker) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
+    stats = store.shard_stats()
+    assert sum(s.queries for s in stats) == 6 * len(keys)
+    assert sum(s.positives for s in stats) == 6 * sum(expected)

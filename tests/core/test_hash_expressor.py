@@ -126,3 +126,61 @@ class TestInsertAndQuery:
                 successes += 1
         assert expressor.stats().inserted_keys == successes
         assert expressor.inserted_keys == successes
+
+
+def _walk_verdicts(selections, valid):
+    return [list(row) if ok else None for row, ok in zip(selections.tolist(), valid.tolist())]
+
+
+class TestBatchWalk:
+    def _filled(self, seed, num_cells, count=120):
+        import random
+
+        rng = random.Random(seed)
+        expressor = make_expressor(num_cells=num_cells)
+        keys = [f"walk-{seed}-{i}" for i in range(count)]
+        for key in keys:
+            expressor.try_insert(key, rng.sample(range(20), 3))
+        return expressor, keys
+
+    def test_query_many_batch_matches_scalar_and_tracks_inserts(self):
+        np = pytest.importorskip("numpy")
+        from repro.hashing.vectorized import KeyBatch
+
+        expressor, keys = self._filled(1, 300)
+        probe = keys + [f"absent-{i}" for i in range(200)]
+        walked = expressor.query_many_batch(KeyBatch(probe), 3)
+        assert _walk_verdicts(*walked) == [expressor.query(key, 3) for key in probe]
+        # An insertion after a walk must not be hidden by the cached cell arrays.
+        late = next(
+            key for key in (f"late-{i}" for i in range(1000))
+            if expressor.query(key, 3) is None and expressor.try_insert(key, [4, 9, 11])
+        )
+        selections, valid = expressor.query_many_batch(KeyBatch([late]), 3)
+        assert valid.tolist() == [True]
+        assert selections.tolist() == [expressor.query(late, 3)]
+        assert sorted(selections[0].tolist()) == [4, 9, 11]
+        assert isinstance(selections, np.ndarray)
+
+    def test_stack_walks_each_row_in_its_own_part(self):
+        np = pytest.importorskip("numpy")
+        from repro.hashing.vectorized import KeyBatch
+
+        parts = [self._filled(seed, cells) for seed, cells in ((2, 97), (3, 300), (4, 64))]
+        expressors = [expressor for expressor, _ in parts]
+        stacked = HashExpressor.stack([expressors[0], None, expressors[1], expressors[2]])
+        slot = {0: 0, 1: 2, 2: 3}
+        probe, owners = [], []
+        for index, (_, keys) in enumerate(parts):
+            for key in keys[:80] + [f"miss-{index}-{i}" for i in range(40)]:
+                probe.append(key)
+                owners.append(index)
+        order = np.random.default_rng(5).permutation(len(probe))
+        probe = [probe[i] for i in order]
+        owners = [owners[i] for i in order]
+        walked = stacked.query_many_batch(
+            KeyBatch(probe), 3, parts=np.asarray([slot[o] for o in owners])
+        )
+        assert _walk_verdicts(*walked) == [
+            expressors[owner].query(key, 3) for key, owner in zip(probe, owners)
+        ]

@@ -167,3 +167,27 @@ def test_small_windows_take_the_scalar_path_bit_identically():
             np.asarray(vectorized.hash_batch(primitive, small)),
             np.asarray(vectorized.hash_batch(primitive, large))[:rows],
         )
+
+
+@pytest.mark.parametrize("window", [64, 5000])
+def test_hash_rows_matches_the_whole_batch_pass(window):
+    # Row-exact hashing (scalar below the crossover, a window pass or a
+    # vectorized pass over the missing rows above it) must return exactly the
+    # whole-batch values, for rows addressed through a take() chain too.
+    keys = [f"https://example.org/row/{i}?q={i * 7}" for i in range(window)]
+    rng = np.random.default_rng(3)
+    for name in ("xxhash", "murmur3", "pjw", "sdbm"):
+        primitive = scalar_primitives.PRIMITIVES[name]
+        expected = np.asarray(vectorized.hash_batch(primitive, vectorized.KeyBatch(keys)))
+        batch = vectorized.KeyBatch(keys)
+        for size in (0, 1, vectorized.SCALAR_CROSSOVER_ROWS, vectorized.SCALAR_CROSSOVER_ROWS + 1, 40):
+            rows = rng.choice(window, size=size, replace=False)
+            np.testing.assert_array_equal(vectorized.hash_rows(primitive, batch, rows), expected[rows])
+        sub = batch.take(np.arange(window)[::-3])
+        rows = np.arange(len(sub))[::2]
+        np.testing.assert_array_equal(
+            vectorized.hash_rows(primitive, sub, rows), expected[::-3][::2]
+        )
+        np.testing.assert_array_equal(
+            vectorized.hash_rows(primitive, batch, np.arange(window)), expected
+        )
