@@ -9,9 +9,9 @@ that gap with three pieces, all stdlib-only:
   :meth:`~repro.service.server.MembershipService.query_batch`.  Concurrent
   ``await front.query(key)`` calls park on futures; a single flusher task
   collects a window of up to ``max_batch`` keys, dispatches the whole window
-  as one engine call on a worker thread, and resolves every waiter with its
-  verdict plus the generation that answered.  The window deadline *adapts*
-  to the observed arrival rate (see below).
+  as one engine call, and resolves every waiter with its verdict plus the
+  generation that answered.  The window deadline *adapts* to the observed
+  arrival rate (see below).
 * :class:`AsyncMembershipServer` — a plain TCP line protocol plus an
   optional minimal HTTP/1.1 handler, both feeding the micro-batcher, so any
   number of connections share one engine dispatch stream.
@@ -42,8 +42,22 @@ window never straddles a hot rebuild, and every waiter learns which
 generation answered it.
 
 Concurrency model: all batcher state is touched only from the event-loop
-thread; the engine dispatch runs on a single worker thread, so new arrivals
-keep coalescing while a batch is being answered (pipelining).
+thread.  An in-process :class:`~repro.service.server.MembershipService`
+answers each window right there, on the loop thread: the engine holds the
+GIL, so a worker thread could never run beside the loop, and handing the
+window over would only add two thread wake-ups per window.  Callers that
+arrive meanwhile wait their turn on the loop and coalesce into the next
+window.  The window goes to a worker thread instead in two cases:
+
+* the service is a :class:`~repro.service.multiproc.ReplicaPool` — its
+  replicas answer over IPC, so ``dispatch_parallelism`` windows stay in
+  flight while the loop keeps collecting the next one;
+* a generation is under construction on another thread
+  (:attr:`~repro.service.server.MembershipService.constructions_in_flight`)
+  — a busy loop would starve the build of the GIL, so windows leave the
+  loop free to hand it over until the swap.
+
+The worker thread is created on the first window that needs it.
 """
 
 from __future__ import annotations
@@ -123,14 +137,12 @@ class AdaptiveMicroBatcher:
         min_wait_ms: Floor on the window (0 = flush as soon as the queue
             goes quiet; raise it to trade latency for larger batches under
             sparse open-loop traffic).
-        executor: Worker pool for engine dispatches.  Defaults to a private
-            pool of ``dispatch_parallelism`` threads.
         dispatch_parallelism: How many flush windows may be in flight at
             once.  Defaults to the service's ``dispatch_parallelism``
             attribute when it has one (a
             :class:`~repro.service.multiproc.ReplicaPool` reports its
             replica count) and 1 otherwise.  At 1 — the in-process default —
-            dispatches are serialized exactly as before; the GIL makes more
+            windows are answered one after another; the GIL makes more
             threads pointless for single-process CPU-bound work.  Above 1
             the flusher hands each window to a dispatch task and immediately
             starts collecting the next, so R replica processes answer R
@@ -152,7 +164,6 @@ class AdaptiveMicroBatcher:
         max_batch: int = 256,
         max_wait_ms: float = 2.0,
         min_wait_ms: float = 0.0,
-        executor: Optional[ThreadPoolExecutor] = None,
         stats_window: int = 4096,
         tracer: Optional[Tracer] = None,
         dispatch_parallelism: Optional[int] = None,
@@ -176,10 +187,8 @@ class AdaptiveMicroBatcher:
         self._max_batch = max_batch
         self._max_wait = max_wait_ms / 1e3
         self._min_wait = min_wait_ms / 1e3
-        self._owns_executor = executor is None
-        self._executor = executor or ThreadPoolExecutor(
-            max_workers=dispatch_parallelism, thread_name_prefix="aserve-dispatch"
-        )
+        self._in_process = isinstance(service, MembershipService)
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._inflight: set = set()
         self._inflight_sem: Optional[asyncio.Semaphore] = None
         self._spans: Deque[_Span] = deque()
@@ -337,7 +346,7 @@ class AdaptiveMicroBatcher:
         await self.aclose()
 
     async def aclose(self) -> None:
-        """Flush every pending waiter, stop the flusher, release the executor."""
+        """Flush every pending waiter, stop the flusher, stop the worker thread."""
         self._closed = True
         if self._wake is not None:
             self._wake.set()
@@ -347,7 +356,7 @@ class AdaptiveMicroBatcher:
             self._flusher = None
         if self._inflight:
             await asyncio.gather(*tuple(self._inflight), return_exceptions=True)
-        if self._owns_executor:
+        if self._executor is not None:
             self._executor.shutdown(wait=True)
 
     # ------------------------------------------------------------------ #
@@ -416,6 +425,15 @@ class AdaptiveMicroBatcher:
         return await future
 
     async def _dispatch(self, request) -> BatchAnswer:
+        service = self._service
+        if self._in_process and not service.constructions_in_flight:
+            # On the loop thread (see the module docstring); the active trace
+            # is already in this context, so shard_probe lands on it.
+            return service.query_batch(request)
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(
+                max_workers=self._parallelism, thread_name_prefix="aserve-dispatch"
+            )
         loop = asyncio.get_running_loop()
         if current_trace() is not None:
             # run_in_executor does not propagate contextvars to the worker
@@ -424,11 +442,9 @@ class AdaptiveMicroBatcher:
             # into the engine so shard_probe stages land on the same trace.
             context = contextvars.copy_context()
             return await loop.run_in_executor(
-                self._executor, context.run, self._service.query_batch, request
+                self._executor, context.run, service.query_batch, request
             )
-        return await loop.run_in_executor(
-            self._executor, self._service.query_batch, request
-        )
+        return await loop.run_in_executor(self._executor, service.query_batch, request)
 
     async def _run(self) -> None:
         loop = asyncio.get_running_loop()

@@ -186,6 +186,10 @@ class MembershipService:
         self._build_workers = build_workers
         self._snapshot: Optional[Snapshot] = None
         self._swap_lock = threading.Lock()
+        # Generations under construction right now (any thread); guarded by
+        # its own lock because concurrent rebuilds construct in parallel.
+        self._building = 0
+        self._building_lock = threading.Lock()
         self._latency = LatencyWindow(latency_window)
         self._rebuild_latency = LatencyWindow(128)
         self._registry = registry if registry is not None else default_registry()
@@ -421,17 +425,23 @@ class MembershipService:
                 estimates = [None] * len(per_shard)
             plan = policy.plan(per_shard, estimates)
         watch = Stopwatch()
-        with watch:
-            store, rebuilt, skipped = self._construct_generation(
-                previous,
-                keys,
-                negatives,
-                costs,
-                changed_keys,
-                incremental,
-                workers,
-                shard_backends=plan.assignments if plan is not None else None,
-            )
+        with self._building_lock:
+            self._building += 1
+        try:
+            with watch:
+                store, rebuilt, skipped = self._construct_generation(
+                    previous,
+                    keys,
+                    negatives,
+                    costs,
+                    changed_keys,
+                    incremental,
+                    workers,
+                    shard_backends=plan.assignments if plan is not None else None,
+                )
+        finally:
+            with self._building_lock:
+                self._building -= 1
         with self._swap_lock:
             current = self._snapshot
             generation = current.generation + 1 if current else 1
@@ -704,6 +714,16 @@ apply_to_service`: validates the delta against the serving snapshot,
         """Generation currently serving (0 before the first load)."""
         snapshot = self._snapshot
         return snapshot.generation if snapshot else 0
+
+    @property
+    def constructions_in_flight(self) -> int:
+        """Generations :meth:`rebuild` (or :meth:`load`) is building right now.
+
+        Construction is CPU work that needs the GIL; the asyncio front-end
+        reads this to keep its dispatches off the event-loop thread while a
+        build runs beside it (see :mod:`repro.service.aserve`).
+        """
+        return self._building
 
     @property
     def max_batch_size(self) -> int:

@@ -3,8 +3,9 @@
 Covers the micro-batcher edge cases the serving layer must survive:
 empty-window flushes (every waiter cancelled), windows split at
 ``max_batch`` with spans kept intact, a hot rebuild landing while a batch
-is in flight (the whole window still answers from one generation), and
-cancellation of a parked caller.  The TCP and HTTP handlers are exercised
+is in flight (the whole window still answers from one generation), which
+thread answers a window (the loop, or the worker while a rebuild runs),
+and cancellation of a parked caller.  The TCP and HTTP handlers are exercised
 over real sockets on an ephemeral port.
 """
 
@@ -17,8 +18,10 @@ import threading
 import pytest
 
 from repro.errors import ConfigurationError, ServiceError
+from repro.obs import Tracer
 from repro.service import MembershipService
 from repro.service.aserve import AdaptiveMicroBatcher, AsyncMembershipServer
+from repro.service.shards import ShardedFilterStore
 
 POSITIVES = [f"evil-{i}.example" for i in range(300)]
 NEGATIVES = [f"fine-{i}.example" for i in range(300)]
@@ -169,45 +172,132 @@ def test_cancelled_caller_among_live_ones_does_not_poison_the_window(service):
 def test_rebuild_during_inflight_batch_keeps_one_generation(service):
     """A dispatched window answers entirely from the snapshot it started on.
 
-    The generation-1 store is gated on a threading event; while the engine
-    dispatch is blocked inside it, a hot rebuild swaps in generation 2.  The
-    in-flight window must still resolve every waiter with generation 1
-    verdicts (including a key that only generation 1 contains), and traffic
-    after the swap must see generation 2.
+    The generation-1 store is gated: the first window to reach it starts a
+    hot rebuild on another thread and waits for the swap to generation 2
+    before answering.  The in-flight window must still resolve every waiter
+    with generation 1 verdicts (including a key that only generation 1
+    contains), and traffic after the swap must see generation 2.
     """
     gen1_store = service.snapshot.store
-    dispatch_started = threading.Event()
-    release_dispatch = threading.Event()
     original_query_many = gen1_store.query_many
+    only_gen1 = POSITIVES[0]
+    refreshed = POSITIVES[1:]  # drop one key so the generations disagree
+    swapped = []
 
     def gated_query_many(keys):
-        dispatch_started.set()
-        assert release_dispatch.wait(timeout=10.0)
+        if not swapped:
+            rebuild = threading.Thread(
+                target=lambda: swapped.append(service.rebuild(refreshed, NEGATIVES))
+            )
+            rebuild.start()
+            rebuild.join(timeout=30.0)
+            assert not rebuild.is_alive()
+            # The window is inside the gen-1 store and gen 2 now serves.
+            assert service.generation == 2
         return original_query_many(keys)
 
     gen1_store.query_many = gated_query_many
-    only_gen1 = POSITIVES[0]
-    refreshed = POSITIVES[1:]  # drop one key so the generations disagree
 
     async def scenario():
-        loop = asyncio.get_running_loop()
         async with AdaptiveMicroBatcher(service, max_batch=64, max_wait_ms=1.0) as front:
             inflight = [
                 asyncio.ensure_future(front.query_with_generation(key))
                 for key in [only_gen1, POSITIVES[1], NEGATIVES[0]]
             ]
-            await loop.run_in_executor(None, dispatch_started.wait)
-            # The window is inside the gen-1 store now; swap generations.
-            assert service.rebuild(refreshed, NEGATIVES) == 2
-            release_dispatch.set()
             answers = await asyncio.gather(*inflight)
             after = await front.query_with_generation(POSITIVES[1])
             return answers, after
 
     answers, after = run(scenario())
+    assert swapped == [2]
     assert answers == [(True, 1), (True, 1), (False, 1)]
     assert after == (True, 2)
     assert service.generation == 2
+
+
+def test_window_during_a_rebuild_runs_on_the_worker_thread(service, monkeypatch):
+    """While a generation is under construction, windows leave the loop.
+
+    Construction is held open on an event.  Windows dispatched meanwhile
+    must run on the batcher's worker thread (the busy loop would otherwise
+    starve the build of the GIL) and answer from one generation; once the
+    swap lands, windows run on the loop thread again.
+    """
+    calls = []  # (thread, keys) per store call, every generation
+    original_query_many = ShardedFilterStore.query_many
+
+    def recording_query_many(store, keys):
+        calls.append((threading.current_thread(), len(keys)))
+        return original_query_many(store, keys)
+
+    monkeypatch.setattr(ShardedFilterStore, "query_many", recording_query_many)
+    construct = service._construct_generation
+    building = threading.Event()
+    release = threading.Event()
+
+    def gated_construct(*args, **kwargs):
+        building.set()
+        assert release.wait(timeout=10.0)
+        return construct(*args, **kwargs)
+
+    monkeypatch.setattr(service, "_construct_generation", gated_construct)
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        async with AdaptiveMicroBatcher(service, max_batch=64, max_wait_ms=1.0) as front:
+            rebuild = loop.run_in_executor(
+                None, service.rebuild, POSITIVES[1:], NEGATIVES
+            )
+            assert await loop.run_in_executor(None, building.wait, 10.0)
+            assert service.constructions_in_flight == 1
+            during = await asyncio.gather(
+                front.query_with_generation(POSITIVES[0]),
+                front.query_many_with_generation([POSITIVES[2], NEGATIVES[1]]),
+            )
+            calls_during = list(calls)
+            release.set()
+            assert await rebuild == 2
+            assert service.constructions_in_flight == 0
+            after = await front.query_with_generation(POSITIVES[1])
+            return threading.current_thread(), during, calls_during, after
+
+    loop_thread, during, calls_during, after = run(scenario())
+    assert during == [(True, 1), ([True, False], 1)]
+    assert calls_during and all(thread is not loop_thread for thread, _ in calls_during)
+    assert after == (True, 2)
+    assert calls[-1][0] is loop_thread
+
+
+def test_inline_window_runs_on_the_loop_and_traces_its_probe(service):
+    """An in-process window runs on the loop thread, and the store's
+    shard_probe stages land on the same trace as its engine_dispatch."""
+    spans = []
+    tracer = Tracer(registry=service.registry, sample_rate=1.0, span_log=spans.append)
+    threads = []
+    store = service.snapshot.store
+    original_query_many = store.query_many
+
+    def recording_query_many(keys):
+        threads.append(threading.current_thread())
+        return original_query_many(keys)
+
+    store.query_many = recording_query_many
+
+    async def scenario():
+        async with AdaptiveMicroBatcher(
+            service, max_batch=64, max_wait_ms=1.0, tracer=tracer
+        ) as front:
+            verdicts = await front.query_many(POSITIVES[:4] + NEGATIVES[:4])
+            return threading.current_thread(), verdicts
+
+    loop_thread, verdicts = run(scenario())
+    assert verdicts == [True] * 4 + [False] * 4
+    assert threads == [loop_thread]
+    traces = {}
+    for span in spans:
+        traces.setdefault(span["stage"], set()).add(span["trace_id"])
+    assert len(traces["engine_dispatch"]) == 1
+    assert traces["shard_probe"] == traces["engine_dispatch"]
 
 
 # --------------------------------------------------------------------- #

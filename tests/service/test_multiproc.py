@@ -15,6 +15,7 @@ import asyncio
 import glob
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -281,6 +282,53 @@ class TestGenerationConsistency:
                     f"client observed generations out of order: {sequence}"
                 )
             assert pool.generation == 4
+
+
+# --------------------------------------------------------------------- #
+# Micro-batcher dispatch over a pool
+# --------------------------------------------------------------------- #
+class TestBatcherDispatch:
+    def test_batcher_keeps_one_window_in_flight_per_replica(self):
+        """A pool answers over IPC, so the batcher keeps handing windows to
+        its worker threads: R replicas answer R windows at once, never more."""
+        with ReplicaPool(
+            replicas=2, backend="bloom-dh", num_shards=2, bits_per_key=10.0
+        ) as pool:
+            pool.load(KEYS)
+            original_query_batch = pool.query_batch
+            lock = threading.Lock()
+            active = [0]
+            peak = [0]
+            threads = set()
+
+            def counting_query_batch(keys):
+                with lock:
+                    active[0] += 1
+                    peak[0] = max(peak[0], active[0])
+                    threads.add(threading.current_thread())
+                try:
+                    time.sleep(0.02)  # hold the replica so windows overlap
+                    return original_query_batch(keys)
+                finally:
+                    with lock:
+                        active[0] -= 1
+
+            pool.query_batch = counting_query_batch
+
+            async def scenario():
+                # 40-key requests: two never share a 64-key window.
+                async with AdaptiveMicroBatcher(
+                    pool, max_batch=64, max_wait_ms=0.5
+                ) as front:
+                    answers = await asyncio.gather(
+                        *[front.query_many(KEYS[i * 40 : (i + 1) * 40]) for i in range(8)]
+                    )
+                return threading.current_thread(), answers
+
+            loop_thread, answers = asyncio.run(scenario())
+            assert answers == [[True] * 40] * 8
+            assert peak[0] == pool.dispatch_parallelism == 2
+            assert loop_thread not in threads
 
 
 # --------------------------------------------------------------------- #

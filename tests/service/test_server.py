@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -92,6 +93,57 @@ def test_hot_rebuild_mid_traffic_never_drops_held_keys(dataset):
     assert svc.generation == 6
     assert svc.stats().rebuilds == 5
     assert all(svc.query_many([f"round-4-{i}" for i in range(100)]))
+
+
+def test_constructions_in_flight_counts_every_concurrent_rebuild(dataset):
+    """The count is positive inside every construction, returns to zero
+    after concurrent rebuilds (more threads than cores, a short switch
+    interval: a lost update would leave it off zero), and after a failed
+    construction."""
+    svc = MembershipService(backend="bloom", num_shards=2, bits_per_key=10.0)
+    assert svc.constructions_in_flight == 0
+    keys = dataset.positives[:200]
+    svc.load(keys)
+    construct = svc._construct_generation
+    seen = []
+
+    def observing(*args, **kwargs):
+        seen.append(svc.constructions_in_flight)
+        return construct(*args, **kwargs)
+
+    svc._construct_generation = observing
+    errors = []
+
+    def rebuild(worker):
+        try:
+            for round_number in range(4):
+                svc.rebuild(keys + [f"worker-{worker}-round-{round_number}"])
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=rebuild, args=(i,)) for i in range(6)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert svc.generation == 1 + 6 * 4
+    assert len(seen) == 24 and min(seen) >= 1
+    assert svc.constructions_in_flight == 0
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("construction failed")
+
+    svc._construct_generation = failing
+    with pytest.raises(RuntimeError, match="construction failed"):
+        svc.rebuild(keys)
+    assert svc.constructions_in_flight == 0
 
 
 def test_batch_limits_are_enforced_and_counted(service):
