@@ -28,8 +28,6 @@ from pathlib import Path
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.metrics.benchmeta import bench_environment
 from repro.obs import FprEstimator, Registry
 from repro.scenarios import builtin_scenarios, run_scenario

@@ -24,13 +24,11 @@ from pathlib import Path
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.metrics.benchmeta import bench_environment
 from repro.baselines.weighted_bloom import WeightedBloomFilter
 from repro.baselines.xor_filter import XorFilter
 from repro.core.bloom import BloomFilter, optimal_num_hashes
-from repro.hashing import vectorized
+from repro.errors import CapacityError
 from repro.metrics.timing import time_construction_best_of
 from repro.service import codec
 from repro.workloads.shalla import generate_shalla_like
@@ -45,6 +43,23 @@ BITS_PER_KEY = 10.0
 REQUIRED_SPEEDUP = 3.0
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_batch_build.json"
+
+
+class _PerKeyXorFilter(XorFilter):
+    """An Xor filter whose build hashes with the per-key ``_slots_for`` /
+    ``_fingerprint`` pair instead of the batch ``_batch_state`` pass."""
+
+    def _build(self, keys):
+        for attempt in range(64):
+            seed = self._seed + attempt
+            key_slots = [self._slots_for(key, seed) for key in keys]
+            fingerprints = [self._fingerprint(key, seed) for key in keys]
+            order = self._peel(key_slots)
+            if order is not None:
+                self._assign(order, key_slots, fingerprints)
+                self._seed = seed
+                return
+        raise CapacityError(f"Xor filter peeling failed for {len(keys)} keys after 64 seeds")
 
 
 @pytest.fixture(scope="module")
@@ -100,10 +115,9 @@ def build_report(build_keys):
         return XorFilter(build_keys, fingerprint_bits=8, seed=2)
 
     def xor_scalar():
-        # The Xor filter has no incremental `add`; its scalar build is the
-        # numpy-free construction (same peeling, per-key hashing).
-        with vectorized.force_scalar():
-            return XorFilter(build_keys[:SCALAR_SAMPLE], fingerprint_bits=8, seed=2)
+        # The Xor filter has no incremental `add`; its scalar build hashes
+        # key by key, then runs the same peeling.
+        return _PerKeyXorFilter(build_keys[:SCALAR_SAMPLE], fingerprint_bits=8, seed=2)
 
     bloom, bloom_entry = _measure(bloom_batch, bloom_scalar)
     _, wbf_entry = _measure(wbf_batch, wbf_scalar)

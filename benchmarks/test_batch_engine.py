@@ -20,8 +20,6 @@ from pathlib import Path
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.metrics.benchmeta import bench_environment
 from repro.core.bloom import BloomFilter, optimal_num_hashes
 from repro.core.habf import HABF

@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
-pytest.importorskip("numpy")  # this figure includes the learned baselines
-
 from repro.experiments import fig12_time
 
 

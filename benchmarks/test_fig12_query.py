@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
-pytest.importorskip("numpy")  # this figure includes the learned baselines
-
 import random
 
 from repro.experiments.config import QUICK_CONFIG

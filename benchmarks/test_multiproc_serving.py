@@ -32,8 +32,6 @@ from pathlib import Path
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.metrics.benchmeta import bench_environment
 from repro.service import MembershipService
 from repro.service.aserve import AdaptiveMicroBatcher

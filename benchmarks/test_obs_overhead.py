@@ -41,8 +41,6 @@ from pathlib import Path
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.metrics.benchmeta import bench_environment
 from repro.hashing import vectorized as vec
 from repro.obs import FprEstimator, NullRegistry, Registry, Tracer, render_text

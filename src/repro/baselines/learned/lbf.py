@@ -16,10 +16,7 @@ from __future__ import annotations
 
 from typing import List, Mapping, Optional, Sequence
 
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image bundles numpy
-    np = None
+import numpy as np
 
 from repro.baselines.learned.model import KeyScoreModel
 from repro.core.batch import BatchMembership

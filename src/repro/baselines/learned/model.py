@@ -14,10 +14,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image bundles numpy
-    np = None
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hashing.base import Key, normalize_key
@@ -67,11 +64,6 @@ class KeyScoreModel:
         seed: int = 1,
         weight_bits: int = 32,
     ) -> None:
-        if np is None:
-            raise ConfigurationError(
-                "KeyScoreModel requires numpy; the learned baselines have no "
-                "scalar fallback"
-            )
         if num_features < 8:
             raise ConfigurationError("num_features must be at least 8")
         if not ngram_sizes:

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.core.batch import BatchMembership
 from repro.core.bitarray import BitArray
 from repro.core.bloom import optimal_num_hashes
@@ -164,7 +166,7 @@ class WeightedBloomFilter(BatchMembership):
         for key in keys:
             self.add(key)
 
-    def _add_batch(self, batch) -> bool:
+    def _add_batch(self, batch) -> None:
         """Batch form of :meth:`add`.
 
         Mirrors :meth:`_contains_batch`: one shared base/step pass, then
@@ -172,7 +174,6 @@ class WeightedBloomFilter(BatchMembership):
         count (``max(default, cached)``, the zero-FNR rule of :meth:`add`)
         exceeds ``i``.
         """
-        np = vec.numpy_or_none()
         counts = np.fromiter(
             (
                 max(self._default_hashes, self._hashes_for(key))
@@ -189,7 +190,6 @@ class WeightedBloomFilter(BatchMembership):
             positions = (base + np.uint64(probe) * step) % modulus
             self._bits.set_many(positions[active])
         self._num_items += len(batch)
-        return True
 
     # ------------------------------------------------------------------ #
     # Queries and accounting
@@ -206,7 +206,6 @@ class WeightedBloomFilter(BatchMembership):
         pass covers every key, and probe round ``i`` only tests the keys
         whose (cached or default) hash count exceeds ``i``.
         """
-        np = vec.numpy_or_none()
         counts = np.fromiter(
             (self._hashes_for(key) for key in batch.keys),
             dtype=np.int64,

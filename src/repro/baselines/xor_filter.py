@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.batch import BatchMembership
 from repro.errors import CapacityError, ConfigurationError
 from repro.hashing import vectorized as vec
@@ -33,12 +35,21 @@ def fingerprint_bits_for_budget(bits_per_key: float, num_keys: int) -> int:
     return max(1, int(bits_per_key / 1.23 + 32 / num_keys))
 
 
+def _distinct_encodings(keys: Sequence[Key]) -> List[bytes]:
+    """The keys' canonical encodings, deduplicated in first-seen order.
+
+    Keys that encode alike (``"a"`` and ``b"a"``) hash to the same slots, so
+    peeling must see them once.
+    """
+    return list(dict.fromkeys(normalize_key(key) for key in keys))
+
+
 class XorFilter(BatchMembership):
     """A static Xor filter over a fixed key set.
 
     Args:
-        keys: The (positive) key set to encode.  Duplicate keys are allowed and
-            deduplicated.
+        keys: The (positive) key set to encode.  Duplicate keys — and keys
+            with the same canonical encoding — are allowed and deduplicated.
         fingerprint_bits: Width of each fingerprint slot in bits.
         seed: Construction seed; bumped automatically if peeling fails.
     """
@@ -48,7 +59,7 @@ class XorFilter(BatchMembership):
     def __init__(self, keys: Sequence[Key], fingerprint_bits: int = 8, seed: int = 1) -> None:
         if fingerprint_bits < 1 or fingerprint_bits > 32:
             raise ConfigurationError("fingerprint_bits must be between 1 and 32")
-        unique = list(dict.fromkeys(keys))
+        unique = _distinct_encodings(keys)
         if not unique:
             raise ConfigurationError("XorFilter needs at least one key")
         self._fingerprint_bits = fingerprint_bits
@@ -86,7 +97,6 @@ class XorFilter(BatchMembership):
         and :meth:`_contains_batch`; bit-for-bit equal to the scalar
         :meth:`_slots_for` / :meth:`_fingerprint` pair.
         """
-        np = vec.numpy_or_none()
         golden = 0x9E3779B97F4A7C15
         base = vec.hash_batch(xxhash, batch)
         value = vec.mix64(base ^ np.uint64((seed * golden) & _MASK64))
@@ -102,21 +112,16 @@ class XorFilter(BatchMembership):
     # ------------------------------------------------------------------ #
     # Construction (peeling)
     # ------------------------------------------------------------------ #
-    def _build(self, keys: List[Key]) -> None:
-        np = vec.numpy_or_none()
-        batch = vec.KeyBatch(keys) if np is not None else None
+    def _build(self, keys: List[bytes]) -> None:
+        batch = vec.KeyBatch(keys)
         for attempt in range(64):
             seed = self._seed + attempt
-            if batch is not None:
-                # Bulk-build path: hash every key once per attempt as one
-                # array program (the xxhash base pass is memoised on the
-                # batch, so retries only pay the mixing arithmetic).
-                h0, h1, h2, fp = self._batch_state(batch, seed)
-                key_slots = list(zip(h0.tolist(), h1.tolist(), h2.tolist()))
-                fingerprints = fp.tolist()
-            else:
-                key_slots = [self._slots_for(key, seed) for key in keys]
-                fingerprints = [self._fingerprint(key, seed) for key in keys]
+            # Hash every key once per attempt as one array program (the
+            # xxhash base pass is memoised on the batch, so retries only pay
+            # the mixing arithmetic).
+            h0, h1, h2, fp = self._batch_state(batch, seed)
+            key_slots = list(zip(h0.tolist(), h1.tolist(), h2.tolist()))
+            fingerprints = fp.tolist()
             order = self._peel(key_slots)
             if order is not None:
                 self._assign(order, key_slots, fingerprints)
@@ -187,7 +192,6 @@ class XorFilter(BatchMembership):
 
     def _contains_batch(self, batch):
         """Batch form of :meth:`contains`: slots and fingerprints in one pass."""
-        np = vec.numpy_or_none()
         h0, h1, h2, fingerprint = self._batch_state(batch, self._seed)
         if self._slots_array is None:
             self._slots_array = np.asarray(self._slots, dtype=np.uint64)
@@ -202,7 +206,7 @@ class XorFilter(BatchMembership):
 
     @property
     def num_keys(self) -> int:
-        """Number of distinct keys encoded."""
+        """Number of distinct key encodings stored."""
         return self._num_keys
 
     def size_in_bits(self) -> int:
@@ -222,7 +226,7 @@ class XorFilter(BatchMembership):
         cls, keys: Sequence[Key], bits_per_key: float, seed: int = 1
     ) -> "XorFilter":
         """Build with the paper's fingerprint sizing rule for a space budget."""
-        unique = list(dict.fromkeys(keys))
+        unique = _distinct_encodings(keys)
         bits = fingerprint_bits_for_budget(bits_per_key, len(unique))
         return cls(unique, fingerprint_bits=min(32, bits), seed=seed)
 

@@ -14,8 +14,7 @@ This subpackage contains the paper's primary contribution:
   (Fig. 1, Section III-E) and its fast variant :class:`~repro.core.habf.FastHABF`.
 * :class:`~repro.core.batch.BatchMembership` — the batch-membership engine
   mixin every filter shares: ``contains_many`` as one array program over a
-  :class:`~repro.hashing.vectorized.KeyBatch`, with a scalar fallback when
-  numpy is absent.
+  :class:`~repro.hashing.vectorized.KeyBatch`.
 """
 
 from repro.core.batch import BatchMembership

@@ -3,15 +3,13 @@
 Every filter in the library mixes in :class:`BatchMembership`, which defines
 the public batch query ``contains_many(keys) -> List[bool]`` and the bulk
 construction entry ``add_many(keys)`` once: encode the keys into one
-:class:`~repro.hashing.vectorized.KeyBatch`, hand it to the filter's
-``_contains_batch`` / ``_add_batch`` array program, and fall back to the
-scalar ``contains`` / ``add`` loop when numpy is absent (or the filter has
-no batch path).  The membership hot paths thereby stop being "a loop over
-``contains``" (or ``add``) and become one array program per filter, while
-the scalar semantics stay the single source of truth — the engine must agree
-with them bit for bit (pinned by ``tests/core/test_batch_equivalence.py``
-for queries and ``tests/core/test_batch_build_equivalence.py`` for
-construction).
+:class:`~repro.hashing.vectorized.KeyBatch` and hand it to the filter's
+``_contains_batch`` / ``_add_batch`` array program.  The membership hot
+paths thereby stop being "a loop over ``contains``" (or ``add``) and become
+one array program per filter, while the scalar semantics stay the single
+source of truth — the engine must agree with them bit for bit (pinned by
+``tests/core/test_batch_equivalence.py`` for queries and
+``tests/core/test_batch_build_equivalence.py`` for construction).
 
 The module also hosts the two hash kernels shared by the Bloom-probing
 filters:
@@ -29,6 +27,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
+import numpy as np
+
 from repro.errors import ConstructionError
 from repro.hashing import vectorized as vec
 from repro.hashing.base import Key
@@ -38,23 +38,19 @@ from repro.hashing.double_hashing import DoubleHashFamily
 class BatchMembership:
     """Mixin providing the engine-backed ``contains_many`` and ``add_many``.
 
-    Subclasses override :meth:`_contains_batch` (and, for incrementally
-    buildable filters, :meth:`_add_batch`) with an array program over a
-    :class:`~repro.hashing.vectorized.KeyBatch`; the mixin handles encoding,
-    the numpy gate and the scalar fallback.  Filters that cannot vectorize
-    simply inherit the fallback loops, so every filter in the library exposes
-    the same batch interface.
+    Subclasses implement :meth:`_contains_batch` and, for incrementally
+    buildable filters, :meth:`_add_batch` as array programs over a
+    :class:`~repro.hashing.vectorized.KeyBatch`; the mixin handles encoding
+    and the empty batch.  Build-once filters (no ``add``, e.g. the Xor
+    filter) inherit an ``_add_batch`` that refuses the insert.
     """
 
     def contains_many(self, keys: Iterable[Key]) -> List[bool]:
         """Vector form of ``contains``, in input order."""
         keys = list(keys)
-        np = vec.numpy_or_none()
-        if np is not None and keys:
-            answers = self._contains_batch(vec.KeyBatch(keys))
-            if answers is not None:
-                return answers.tolist()
-        return self._contains_fallback(keys)
+        if not keys:
+            return []
+        return self._contains_batch(vec.KeyBatch(keys)).tolist()
 
     def add_many(self, keys: Iterable[Key]) -> None:
         """Bulk form of ``add``: encode once, insert the whole batch.
@@ -62,54 +58,24 @@ class BatchMembership:
         The resulting filter state is bit-for-bit identical to looping the
         scalar ``add`` over ``keys`` (pinned by
         ``tests/core/test_batch_build_equivalence.py``), so serialized codec
-        frames do not depend on which path built the filter.  Filters without
-        an ``_add_batch`` array program — or any filter when numpy is absent
-        — take the scalar fallback loop.  Build-once filters (no ``add``,
-        e.g. the Xor filter) raise
-        :class:`~repro.errors.ConstructionError` instead of failing with an
-        attribute lookup.
+        frames do not depend on which path built the filter.  Build-once
+        filters raise :class:`~repro.errors.ConstructionError` instead of
+        failing with an attribute lookup.
         """
         keys = list(keys)
-        np = vec.numpy_or_none()
-        if np is not None and keys:
-            if self._add_batch(vec.KeyBatch(keys)):
-                return
-        self._add_fallback(keys)
+        if keys:
+            self._add_batch(vec.KeyBatch(keys))
 
-    def _add_fallback(self, keys: List[Key]) -> None:
-        """Scalar bulk-insert path used when numpy (or a batch program) is absent."""
-        add = getattr(self, "add", None)
-        if add is None and keys:
-            raise ConstructionError(
-                f"{type(self).__name__} is built once from its key set and does "
-                "not support incremental insertion (add_many)"
-            )
-        for key in keys:
-            add(key)
-
-    def _add_batch(self, batch: "vec.KeyBatch") -> bool:
-        """Insert a whole encoded batch; return ``True`` if handled.
-
-        ``False`` means "no bulk-build path for this filter" and routes the
-        call to the scalar fallback.  Only invoked when numpy is available.
-        """
-        return False
-
-    def _contains_fallback(self, keys: List[Key]) -> List[bool]:
-        """Scalar batch path used when numpy (or a batch program) is absent.
-
-        Filters whose scalar query re-resolves state per call can override
-        this to hoist that dispatch out of the loop (see ``BloomFilter``).
-        """
-        return [self.contains(key) for key in keys]
+    def _add_batch(self, batch: "vec.KeyBatch") -> None:
+        """Insert a whole encoded batch (filters with ``add`` override this)."""
+        raise ConstructionError(
+            f"{type(self).__name__} is built once from its key set and does "
+            "not support incremental insertion (add_many)"
+        )
 
     def _contains_batch(self, batch: "vec.KeyBatch"):
-        """Answer a whole encoded batch; return a bool ndarray or ``None``.
-
-        ``None`` means "no batch path for this filter" and routes the call to
-        the scalar fallback.  Only invoked when numpy is available.
-        """
-        return None
+        """Answer a whole encoded batch with a bool ndarray, in row order."""
+        raise NotImplementedError
 
 
 def positions_for_selection(family, batch: "vec.KeyBatch", selection: Sequence[int], modulus: int):
@@ -136,7 +102,6 @@ def member_hashes(family, batch: "vec.KeyBatch", rows, indexes):
     hashes each distinct index over just the rows that name it.  Callers
     reduce the values by their own (possibly per-row) modulus.
     """
-    np = vec.numpy_or_none()
     rows = np.asarray(rows, dtype=np.intp)
     if isinstance(family, DoubleHashFamily):
         h1, h2 = family.base_hashes_rows(batch, rows)

@@ -7,16 +7,16 @@ on the scalar paths; the batch engine's :meth:`BitArray.set_many` and
 writable numpy view, so whole index vectors are set and tested as one array
 program.  Because the numpy view aliases the *same* buffer, serialization
 (:meth:`BitArray.to_bytes` and the :mod:`repro.service.codec` frames built on
-it) is byte-identical whichever path populated the bits, and a pure-Python
-fallback keeps every batch entry point working when numpy is absent.
+it) is byte-identical whichever path populated the bits.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from repro.errors import ConfigurationError
-from repro.hashing import vectorized as _vec
 
 _POPCOUNT_TABLE = bytes(bin(i).count("1") for i in range(256))
 
@@ -90,7 +90,7 @@ class BitArray:
     # ------------------------------------------------------------------ #
     # Batch engine
     # ------------------------------------------------------------------ #
-    def _checked_index_vector(self, np, indices):
+    def _checked_index_vector(self, indices):
         index = np.asarray(indices, dtype=np.int64).ravel()
         if index.size:
             index = np.where(index < 0, index + self._num_bits, index)
@@ -103,19 +103,20 @@ class BitArray:
         return index
 
     def set_many(self, indices) -> None:
-        """Set every bit listed in ``indices`` (vectorized when numpy exists).
+        """Set every bit listed in ``indices`` as one array program.
 
         Accepts any integer sequence or ndarray, with the same negative-index
         wrapping and bounds checking as :meth:`set`.  Duplicate indices are
-        fine (``bitwise_or.at`` accumulates per byte).
+        fine (``bitwise_or.at`` accumulates per byte).  Over a read-only
+        :meth:`view` it raises ``TypeError`` like :meth:`set`, before any
+        byte is written: ``bitwise_or.at`` itself does not honour a numpy
+        view's read-only flag.
         """
-        np = _vec.numpy_or_none()
-        if np is None:
-            self.set_all(int(index) for index in indices)
-            return
-        index = self._checked_index_vector(np, indices)
+        index = self._checked_index_vector(indices)
         if not index.size:
             return
+        if not self.writable:
+            raise TypeError("cannot modify read-only memory")
         view = np.frombuffer(self._buffer, dtype=np.uint8)
         np.bitwise_or.at(
             view, index >> 3, np.uint8(1) << (index & 7).astype(np.uint8)
@@ -124,13 +125,9 @@ class BitArray:
     def test_many(self, indices):
         """Test every bit listed in ``indices``, in order.
 
-        Returns a bool ndarray when numpy is available and a plain list of
-        bools otherwise; index semantics match :meth:`test`.
+        Returns a bool ndarray; index semantics match :meth:`test`.
         """
-        np = _vec.numpy_or_none()
-        if np is None:
-            return [self.test(int(index)) for index in indices]
-        index = self._checked_index_vector(np, indices)
+        index = self._checked_index_vector(indices)
         view = np.frombuffer(self._buffer, dtype=np.uint8)
         return (view[index >> 3] >> (index & 7).astype(np.uint8)) & 1 != 0
 

@@ -17,9 +17,12 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.core.batch import BatchMembership, positions_for_selection
 from repro.core.bitarray import BitArray
 from repro.errors import ConfigurationError
+from repro.hashing import vectorized as vec
 from repro.hashing.base import Key
 from repro.hashing.double_hashing import DoubleHashFamily
 from repro.hashing.registry import GLOBAL_HASH_FAMILY, HashFamily
@@ -142,7 +145,7 @@ class BloomFilter(BatchMembership):
 
         Prefer :meth:`add_many` for large key sets — it routes through the
         batch engine; this scalar loop is kept for incremental use and as the
-        numpy-free reference semantics.
+        reference semantics the engine is tested against.
         """
         for key in keys:
             self.add(key)
@@ -166,27 +169,19 @@ class BloomFilter(BatchMembership):
         self._bits.set_many(positions.reshape(-1))
         self._num_items += len(batch)
 
-    def _add_batch(self, batch) -> bool:
+    def _add_batch(self, batch) -> None:
         """Batch form of :meth:`add`: one H0 position pass + ``set_many``."""
         self._insert_selection_batch(batch, self._initial_selection)
-        return True
 
     def add_many_with_selection(self, keys: Iterable[Key], selection: Sequence[int]) -> None:
         """Bulk form of :meth:`add_with_selection` (one fixed selection for all).
 
         Used by filters that insert key groups under distinct selections
-        (e.g. Ada-BF's score groups); falls back to the scalar loop when
-        numpy is absent, with identical resulting bits.
+        (e.g. Ada-BF's score groups), with bits identical to the scalar loop.
         """
         keys = list(keys)
-        from repro.hashing import vectorized as vec
-
-        np = vec.numpy_or_none()
-        if np is not None and keys:
+        if keys:
             self._insert_selection_batch(vec.KeyBatch(keys), selection)
-            return
-        for key in keys:
-            self.add_with_selection(key, selection)
 
     @classmethod
     def from_keys(
@@ -266,9 +261,6 @@ class BloomFilter(BatchMembership):
         rows all derive from one memoised base pass, so dropping rows saves
         almost nothing and would re-slice the batch per row.
         """
-        from repro.hashing import vectorized as vec
-
-        np = vec.numpy_or_none()
         if isinstance(self._family, DoubleHashFamily):
             positions = positions_for_selection(
                 self._family, batch, selection, len(self._bits)
@@ -295,15 +287,6 @@ class BloomFilter(BatchMembership):
     def _contains_batch(self, batch):
         """Batch form of :meth:`contains`: one H0 array probe."""
         return self._probe_batch(batch, self._initial_selection)
-
-    def _contains_fallback(self, keys):
-        """numpy-less batch path: hash functions and the bit test are
-        resolved once per batch instead of once per key, which is where the
-        scalar loop spends its dispatch overhead."""
-        functions = [self._family[i] for i in self._initial_selection]
-        test = self._bits.test
-        modulus = len(self._bits)
-        return [all(test(fn(key, modulus)) for fn in functions) for key in keys]
 
     def expected_fpr(self) -> float:
         """Analytic FPR estimate ``(1 - e^{-kn/m})^k`` for the current load."""

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.core.batch import BatchMembership, member_hashes
 from repro.core.bloom import BloomFilter
 from repro.core.hash_expressor import HashExpressor
 from repro.core.params import HABFParams
 from repro.core.tpjo import TPJOOptimizer, TPJOStats
 from repro.errors import ConfigurationError, ConstructionError
-from repro.hashing import vectorized as vec
 from repro.hashing.base import Key
 from repro.hashing.double_hashing import DoubleHashFamily
 from repro.hashing.registry import GLOBAL_HASH_FAMILY, HashFamily
@@ -179,7 +180,6 @@ class HABF(BatchMembership):
 
     def _contains_batch(self, batch):
         """Batch form of the two-round query: the one-filter :class:`HABFProbePlan`."""
-        np = vec.numpy_or_none()
         n = len(batch)
         return self._probe_plan().contains(batch, np.arange(n), np.zeros(n, dtype=np.intp))
 
@@ -278,7 +278,6 @@ def _bit_arena(bit_arrays):
     itself, so replicas never privately copy shared bits.  Filters owning
     their bytes are laid end to end in a fresh array.
     """
-    np = vec.numpy_or_none()
     views = [np.frombuffer(bits._buffer, dtype=np.uint8) for bits in bit_arrays]
     if len(views) == 1:
         return views[0], [0]
@@ -308,7 +307,6 @@ class HABFProbePlan:
     """
 
     def __init__(self, filters: Sequence[HABF]) -> None:
-        np = vec.numpy_or_none()
         first = filters[0]
         self._family = first._family
         self._k = first._params.k
@@ -334,7 +332,6 @@ class HABFProbePlan:
         valid selection get the round-2 probe under it.  Bit-identical to
         each part's scalar ``contains``.
         """
-        np = vec.numpy_or_none()
         answers = self._probe(batch, rows, parts, self._selection)
         if self._expressor is None:
             return answers
@@ -359,7 +356,6 @@ class HABFProbePlan:
         of per-row indexes (a decoded selection).  Rows drop out at their
         first zero bit, so later columns hash only the rows still alive.
         """
-        np = vec.numpy_or_none()
         answers = np.ones(rows.size, dtype=bool)
         alive = np.arange(rows.size)
         num_bits, bit_base = self._num_bits[parts], self._bit_base[parts]

@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.hashing import vectorized as vec
 from repro.hashing.base import HashFunction, Key
@@ -92,7 +94,6 @@ class HashExpressor:
         family, and a stack is a read-only batch-walk object: the scalar
         methods treat it as a single table.
         """
-        np = vec.numpy_or_none()
         present = [e for e in expressors if e is not None]
         tables = [e._cell_arrays() for e in present]
         sizes = [e.num_cells if e is not None else 0 for e in expressors]
@@ -119,7 +120,6 @@ class HashExpressor:
         stack.
         """
         if self._arrays is None:
-            np = vec.numpy_or_none()
             self._arrays = (
                 np.asarray(self._hash_index, dtype=np.int32),
                 np.asarray(self._endbit, dtype=bool),
@@ -314,14 +314,12 @@ class HashExpressor:
         int64 matrix and ``valid`` a bool vector — row ``r`` is meaningful
         only where ``valid[r]`` is True; everywhere else the key falls back
         to ``H0`` (the scalar ``None``).  On a :meth:`stack`, ``parts[r]``
-        names the part row ``r`` walks.  Requires numpy (callers gate on
-        the engine).
+        names the part row ``r`` walks.
         """
         if k < 1:
             raise ConfigurationError("k must be at least 1")
         from repro.core.batch import member_hashes
 
-        np = vec.numpy_or_none()
         hash_index, endbit, part_base, part_cells = self._cell_arrays()
         n = len(batch)
         rows = np.arange(n)

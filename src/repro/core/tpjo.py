@@ -26,7 +26,7 @@ The fast construction used by f-HABF (Section III-G) disables ``Γ``: no
 conflict detection is performed, which speeds construction up at the price of
 occasionally creating new (unprotected) collisions.
 
-Construction runs on the batch engine when numpy is available: the H0
+Construction runs on the batch engine: the H0
 insertion and the negative-key classification each hash their whole key set
 in one :func:`~repro.core.batch.positions_for_selection` pass, and candidate
 evaluation gathers positions from cached per-family-index columns instead of
@@ -220,27 +220,21 @@ class TPJOOptimizer:
         self._units = [_Unit() for _ in range(self._bloom.num_bits)]
         order = list(positives)
         self._rng.shuffle(order)
-        np = vec.numpy_or_none()
-        if np is not None and order:
-            # Bulk insert: hash the whole (shuffled) positive set under H0 in
-            # one engine pass, commit the bits with one set_many, and walk the
-            # resulting position lists to build the V index in the same order
-            # the scalar loop would.  The KeyBatch is kept for the rest of
-            # the run so candidate evaluation reuses its hash memo.
-            batch = vec.KeyBatch(order)
-            matrix = positions_for_selection(
-                self._family, batch, self._h0, self._bloom.num_bits
-            )
-            self._bloom.add_positions_many(matrix, len(order))
-            self._positive_batch = batch
-            self._positive_rows = {key: row for row, key in enumerate(order)}
-            for key, positions in zip(order, matrix.T.tolist()):
-                for position in positions:
-                    self._record_positive_mapping(position, key)
+        if not order:
             return
-        for key in order:
-            positions = self._bloom.bit_positions(key, self._h0)
-            self._bloom.add_with_selection(key, self._h0)
+        # Bulk insert: hash the whole (shuffled) positive set under H0 in one
+        # engine pass, commit the bits with one set_many, and walk the
+        # resulting position lists to build the V index in the same order
+        # the scalar ``add_with_selection`` loop would.  The KeyBatch is kept
+        # for the rest of the run so candidate evaluation reuses its hash memo.
+        batch = vec.KeyBatch(order)
+        matrix = positions_for_selection(
+            self._family, batch, self._h0, self._bloom.num_bits
+        )
+        self._bloom.add_positions_many(matrix, len(order))
+        self._positive_batch = batch
+        self._positive_rows = {key: row for row, key in enumerate(order)}
+        for key, positions in zip(order, matrix.T.tolist()):
             for position in positions:
                 self._record_positive_mapping(position, key)
 
@@ -264,16 +258,13 @@ class TPJOOptimizer:
         return collisions
 
     def _negative_position_lists(self, negatives: Sequence[Key]) -> List[Tuple[int, ...]]:
-        """H0 positions of every negative key: one engine pass when possible."""
-        np = vec.numpy_or_none()
-        if np is not None and negatives:
-            matrix = positions_for_selection(
-                self._family, vec.KeyBatch(negatives), self._h0, self._bloom.num_bits
-            )
-            return [tuple(column) for column in matrix.T.tolist()]
-        return [
-            tuple(self._bloom.bit_positions(key, self._h0)) for key in negatives
-        ]
+        """H0 positions of every negative key, from one engine pass."""
+        if not negatives:
+            return []
+        matrix = positions_for_selection(
+            self._family, vec.KeyBatch(negatives), self._h0, self._bloom.num_bits
+        )
+        return [tuple(column) for column in matrix.T.tolist()]
 
     def _protect(self, key: Key) -> None:
         """Register a currently-negative key in Γ so adjustments avoid breaking it."""
@@ -445,7 +436,7 @@ class TPJOOptimizer:
         comes from a cached whole-batch column (``family[index]`` over all
         positives, materialised lazily and reusing the KeyBatch hash memo
         from the H0 insertion pass).  Falls back to the scalar hash for keys
-        outside the batch or when numpy is absent.
+        outside the batch.
         """
         if self._positive_batch is not None:
             row = self._positive_rows.get(key)

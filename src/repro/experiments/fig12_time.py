@@ -21,7 +21,6 @@ from repro.experiments.config import (
 )
 from repro.experiments.registry import build_filter
 from repro.experiments.report import ExperimentResult, Row
-from repro.hashing import vectorized
 from repro.metrics.timing import time_construction, time_queries, time_queries_batch
 from repro.workloads.dataset import MembershipDataset
 
@@ -57,9 +56,8 @@ def _time_dataset(
     )
     rows: List[Row] = []
     for algorithm in algorithms:
-        # Since the bulk-build engine, construction itself runs through
-        # add_many / the vectorized TPJO and peeling passes whenever numpy
-        # is available, so this measurement is the engine build time.
+        # Construction runs through add_many / the vectorized TPJO and
+        # peeling passes, so this measurement is the engine build time.
         built, construction = time_construction(
             lambda name=algorithm: build_filter(
                 name, dataset, total_bits, costs=dataset.costs, seed=config.seed
@@ -82,22 +80,6 @@ def _time_dataset(
                 if batch_query.ns_per_key > 0
                 else 0.0
             )
-            # Build the same filter once more with the engine forced off:
-            # the scalar-vs-batch *construction* ratio, the build-side twin
-            # of `batch_speedup` (cf. BENCH_batch_build.json).
-            with vectorized.force_scalar():
-                _, scalar_construction = time_construction(
-                    lambda name=algorithm: build_filter(
-                        name, dataset, total_bits, costs=dataset.costs, seed=config.seed
-                    ),
-                    num_keys=dataset.num_positives,
-                )
-            row["construction_scalar_ns_per_key"] = scalar_construction.ns_per_key
-            row["build_speedup"] = (
-                scalar_construction.ns_per_key / construction.ns_per_key
-                if construction.ns_per_key > 0
-                else 0.0
-            )
         rows.append(row)
     return rows
 
@@ -110,10 +92,8 @@ def run(
     With ``batch_mode`` every algorithm is additionally timed through the
     batch engine (``contains_many`` over the same query keys), adding
     ``query_batch_ns_per_key`` and ``batch_speedup`` columns — the measured
-    form of the engine speedups recorded in ``BENCH_batch_engine.json`` —
-    plus a scalar-forced rebuild that yields
-    ``construction_scalar_ns_per_key`` and ``build_speedup`` (the
-    construction-side ratios recorded in ``BENCH_batch_build.json``).
+    form of the engine speedups recorded in ``BENCH_batch_engine.json``.
+    The construction-side ratios live in ``BENCH_batch_build.json``.
     """
     config = config or ExperimentConfig()
     rows: List[Row] = []

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
+import numpy as np
+
 Key = Union[str, bytes, int]
 
 _MASK64 = (1 << 64) - 1
@@ -93,22 +95,16 @@ class HashFunction:
     def hash_many(self, keys: Sequence[Key], modulus: int = 0):
         """Vector form of :meth:`raw` / :meth:`__call__` over a whole batch.
 
-        With numpy available this encodes the keys once (or reuses an already
-        encoded :class:`~repro.hashing.vectorized.KeyBatch`), evaluates the
+        Encodes the keys once (or reuses an already encoded
+        :class:`~repro.hashing.vectorized.KeyBatch`), evaluates the
         primitive's vectorized twin column-wise and returns a ``uint64``
-        ndarray; without numpy it falls back to the scalar loop and returns a
-        plain list.  ``modulus`` of 0 means "no reduction" (full 64-bit
-        hashes); a positive modulus reduces every hash into ``[0, modulus)``
-        exactly like :meth:`__call__`.
+        ndarray.  ``modulus`` of 0 means "no reduction" (full 64-bit hashes);
+        a positive modulus reduces every hash into ``[0, modulus)`` exactly
+        like :meth:`__call__`.
         """
         if modulus < 0:
             raise ValueError("modulus must be positive (or 0 for no reduction)")
         vec = _vectorized()
-        np = vec.numpy_or_none()
-        if np is None:
-            if modulus:
-                return [self(key, modulus) for key in keys]
-            return [self.raw(key) for key in keys]
         batch = vec.as_batch(keys)
         cache_key = ("hashfn", id(self))
         values = batch.cache.get(cache_key)
@@ -127,10 +123,9 @@ class HashFunction:
 
         The row-exact form of :meth:`hash_many` (see
         :func:`repro.hashing.vectorized.hash_rows`): only those rows are
-        hashed, memoised per row on the batch's window.  Requires numpy.
+        hashed, memoised per row on the batch's window.
         """
         vec = _vectorized()
-        np = vec.numpy_or_none()
         values = vec.hash_rows(self.primitive, batch, rows)
         if self.seed:
             salt = (self.seed * 0x9E3779B97F4A7C15) & _MASK64

@@ -15,7 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import ConfigurationError
+from repro.hashing import vectorized as vec
 from repro.hashing.base import HashFunction, Key, mix64, normalize_key
 from repro.hashing.primitives import PRIMITIVES
 
@@ -48,21 +51,20 @@ class SimulatedHash:
         """Vector form of :meth:`raw` / :meth:`__call__` over a whole batch.
 
         Shares one vectorized h1/h2 base pass per batch with every other
-        simulated hash of the same family (via the batch cache); falls back
-        to the scalar loop when numpy is unavailable.
+        simulated hash of the same family (via the batch cache); a hash
+        built outside a family runs its scalar loop.  Returns a ``uint64``
+        ndarray.
         """
         if modulus < 0:
             raise ValueError("modulus must be positive (or 0 for no reduction)")
-        from repro.hashing import vectorized as vec
-
-        np = vec.numpy_or_none()
-        if np is None or self.family is None:
-            if modulus:
-                return [self(key, modulus) for key in keys]
-            return [self.raw(key) for key in keys]
         batch = vec.as_batch(keys)
-        h1, h2 = self.family.base_hashes_many(batch)
-        values = h1 + np.uint64(self.step) * (h2 | np.uint64(1))
+        if self.family is None:
+            values = np.fromiter(
+                (self.raw(key) for key in batch.keys), dtype=np.uint64, count=len(batch)
+            )
+        else:
+            h1, h2 = self.family.base_hashes_many(batch)
+            values = h1 + np.uint64(self.step) * (h2 | np.uint64(1))
         if modulus:
             return values % np.uint64(modulus)
         return values
@@ -151,9 +153,6 @@ class DoubleHashFamily:
         two vectors with one multiply-add, so a k-probe query hashes each key
         once instead of k times.  Memoised on the batch.
         """
-        from repro.hashing import vectorized as vec
-
-        np = vec.numpy_or_none()
         cache_key = ("double-bases", id(self))
         cached = batch.cache.get(cache_key)
         if cached is None:
@@ -171,9 +170,6 @@ class DoubleHashFamily:
         :func:`repro.hashing.vectorized.hash_rows`); the base primitive's
         values are memoised per row on the batch's window.
         """
-        from repro.hashing import vectorized as vec
-
-        np = vec.numpy_or_none()
         raw = vec.hash_rows(self._base, batch, rows)
         return vec.mix64(raw ^ np.uint64(self._salt1)), vec.mix64(raw ^ np.uint64(self._salt2))
 
@@ -181,15 +177,9 @@ class DoubleHashFamily:
         """Batch counterpart of :meth:`repro.hashing.registry.HashFamily.hash_many`.
 
         All requested simulated functions are derived from a single h1/h2
-        base pass; returns a ``(len(indexes), len(keys))`` uint64 ndarray, or
-        per-function scalar lists when numpy is unavailable.
+        base pass; returns a ``(len(indexes), len(keys))`` uint64 ndarray.
         """
         chosen = list(indexes) if indexes is not None else list(range(len(self)))
-        from repro.hashing import vectorized as vec
-
-        np = vec.numpy_or_none()
-        if np is None:
-            return [self._functions[i].hash_many(keys, modulus) for i in chosen]
         batch = vec.as_batch(keys)
         if not chosen:
             return np.zeros((0, len(batch)), dtype=np.uint64)

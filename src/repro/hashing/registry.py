@@ -12,7 +12,10 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import ConfigurationError, UnknownHashError
+from repro.hashing import vectorized as vec
 from repro.hashing.base import HashFunction
 from repro.hashing.primitives import PRIMITIVES
 
@@ -103,17 +106,11 @@ class HashFamily:
         """Hash a whole batch of keys under several member functions at once.
 
         Returns a ``(len(indexes), len(keys))`` uint64 ndarray (one row per
-        selected function) when numpy is available, with the keys encoded
-        once and shared across rows; otherwise a list of per-function lists
-        from the scalar loop.  ``indexes`` defaults to the full family and
-        ``modulus`` of 0 means full 64-bit hashes.
+        selected function), with the keys encoded once and shared across
+        rows.  ``indexes`` defaults to the full family and ``modulus`` of 0
+        means full 64-bit hashes.
         """
         chosen = list(indexes) if indexes is not None else list(range(len(self)))
-        from repro.hashing import vectorized as vec
-
-        np = vec.numpy_or_none()
-        if np is None:
-            return [self[i].hash_many(keys, modulus) for i in chosen]
         batch = vec.as_batch(keys)
         if not chosen:
             return np.zeros((0, len(batch)), dtype=np.uint64)

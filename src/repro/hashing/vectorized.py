@@ -14,57 +14,23 @@ by ``tests/hashing/test_vectorized.py``.  All arithmetic runs in ``uint64``,
 whose wrap-around is exactly the ``& _MASK64`` masking of the scalar code;
 32-bit cores keep an explicit ``& _MASK32``.
 
-numpy is an optional runtime dependency of the engine: when it is missing
-(``np`` is ``None``) every batch entry point in the library falls back to
-its scalar loop.  The gate is checked at *call* time through
-:func:`numpy_or_none`, so tests can simulate a numpy-less interpreter by
-monkeypatching ``repro.hashing.vectorized.np`` to ``None``.
+numpy is a hard runtime dependency: every batch entry point in the library
+(``hash_many``, ``contains_many``, ``add_many``, ``query_many``) runs through
+this module, and the scalar primitives remain the reference oracle the
+engine is tested against.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.hashing.base import Key, normalize_key
 from repro.hashing import primitives as _scalar
 
-try:  # pragma: no cover - exercised indirectly via numpy_or_none()
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image bundles numpy
-    np = None  # type: ignore[assignment]
-
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-
-
-def numpy_or_none():
-    """Return the numpy module if the engine can vectorize, else ``None``.
-
-    Every batch code path in the library consults this at call time instead
-    of caching the import, so a monkeypatched ``vectorized.np = None``
-    switches the whole stack onto the pure-Python fallback at once.
-    """
-    return np
-
-
-@contextmanager
-def force_scalar():
-    """Temporarily disable the numpy engine (scalar fallbacks everywhere).
-
-    The supported way to compare engine vs scalar behaviour — equivalence
-    tests, scalar-forced timing in ``fig12`` / the build benchmark — without
-    reaching into the module global by hand.  Restores the engine even if
-    the body raises.  Flips a process-wide switch, so do not use it around
-    code that serves concurrent engine traffic.
-    """
-    global np
-    saved = np
-    np = None
-    try:
-        yield
-    finally:
-        np = saved
 
 
 class KeyBatch:
@@ -90,8 +56,6 @@ class KeyBatch:
     __slots__ = ("_keys", "_data", "matrix", "lengths", "cache", "_matrix64", "_parent", "_rows")
 
     def __init__(self, keys: Sequence[Key]) -> None:
-        if np is None:  # pragma: no cover - callers gate on numpy_or_none()
-            raise RuntimeError("KeyBatch requires numpy")
         self._keys: Optional[List[Key]] = list(keys)
         data = [normalize_key(key) for key in self._keys]
         self._data: Optional[List[bytes]] = data
@@ -167,8 +131,6 @@ class KeyBatch:
         Rows keep part order, so verdict slices map back to the original
         requests by offset.
         """
-        if np is None:  # pragma: no cover - callers gate on numpy_or_none()
-            raise RuntimeError("KeyBatch requires numpy")
         parts = list(parts)
         if not parts:
             raise ValueError("KeyBatch.concat needs at least one part")

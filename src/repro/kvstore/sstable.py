@@ -179,10 +179,10 @@ class SSTable:
         """Batch form of :meth:`get`, in input order.
 
         The guarding filter answers all in-range keys with **one**
-        ``contains_many`` call (the batch engine's array program when numpy
-        is available), so a multi-key read pays the filter's per-batch cost
-        once instead of per key.  Per-key results and statistics are
-        identical to looping :meth:`get`.
+        ``contains_many`` call (the batch engine's array program), so a
+        multi-key read pays the filter's per-batch cost once instead of per
+        key.  Per-key results and statistics are identical to looping
+        :meth:`get`.
         """
         keys = list(keys)
         results: List[Tuple[bool, Optional[object], float]] = [

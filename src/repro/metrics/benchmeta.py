@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import os
 import platform
-from typing import Dict, Optional
+from typing import Dict
+
+import numpy as np
 
 
 def bench_environment(**extra: object) -> Dict[str, object]:
@@ -21,24 +23,17 @@ def bench_environment(**extra: object) -> Dict[str, object]:
     Returns plain JSON-serializable values: ``python`` (interpreter
     version), ``platform`` (e.g. ``Linux-6.18``-style), ``machine``
     (architecture), ``cpu_count`` (``os.cpu_count()``, ``None`` when the
-    platform cannot say), and ``numpy`` (version string or ``None`` when
-    the optional dependency is absent).  Keyword arguments are merged in —
-    the scenario benchmark stamps its replay ``seed`` this way so the
-    report records everything needed to reproduce it.
+    platform cannot say), and ``numpy`` (version string).  Keyword
+    arguments are merged in — the scenario benchmark stamps its replay
+    ``seed`` this way so the report records everything needed to
+    reproduce it.
     """
-    numpy_version: Optional[str] = None
-    try:
-        import numpy
-
-        numpy_version = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy is present in CI
-        pass
     environment: Dict[str, object] = {
         "python": platform.python_version(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "numpy": numpy_version,
+        "numpy": np.__version__,
     }
     environment.update(extra)
     return environment

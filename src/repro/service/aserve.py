@@ -110,10 +110,10 @@ class _Span:
     """One caller's request inside a flush window: keys + the waiting future.
 
     Multi-key requests stay contiguous — a span is never split across two
-    windows, so every request is answered by exactly one generation.  Spans
-    that arrive with numpy available carry their :class:`~repro.hashing.\
-vectorized.KeyBatch` encoding, which the flusher reuses via
-    ``KeyBatch.concat`` instead of re-normalising the keys.
+    windows, so every request is answered by exactly one generation.
+    Multi-key spans carry their :class:`~repro.hashing.vectorized.KeyBatch`
+    encoding, which the flusher reuses via ``KeyBatch.concat`` instead of
+    re-normalising the keys; single-key spans are encoded together at flush.
     """
 
     __slots__ = ("keys", "future", "batch")
@@ -333,8 +333,7 @@ class AdaptiveMicroBatcher:
             answer = await self._dispatch(keys)
             self._bypassed_batches.inc()
             return answer.verdicts, answer.generation
-        batch = vec.KeyBatch(keys) if vec.numpy_or_none() is not None else None
-        return await self._submit(keys, batch)
+        return await self._submit(keys, vec.KeyBatch(keys))
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -579,8 +578,6 @@ class AdaptiveMicroBatcher:
 
     def _assemble(self, spans: List[_Span]):
         """Build the engine request for a window, reusing span encodings."""
-        if vec.numpy_or_none() is None:
-            return [key for span in spans for key in span.keys]
         parts: List[vec.KeyBatch] = []
         pending: List[Key] = []
         for span in spans:

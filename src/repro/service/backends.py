@@ -12,9 +12,7 @@ evidence script can select backends from a string (``"habf"``, ``"f-habf"``,
 Every registered backend's filters round-trip through
 :mod:`repro.service.codec`, which is load-bearing twice over: sharded stores
 snapshot/restore regardless of policy, and parallel build workers hand
-finished shards back to the parent process as codec frames.  The learned
-backends additionally need numpy at *build* time (their policies import
-without it and fail loudly when asked to train).
+finished shards back to the parent process as codec frames.
 """
 
 from __future__ import annotations

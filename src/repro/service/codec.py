@@ -35,6 +35,8 @@ import struct
 import zlib
 from typing import Any, List, Optional, Union
 
+import numpy as np
+
 from repro.core.bitarray import BitArray
 from repro.core.bloom import BloomFilter
 from repro.core.habf import HABF, FastHABF
@@ -516,18 +518,6 @@ def _decode_wbf(reader: _Reader) -> WeightedBloomFilter:
     return wbf
 
 
-def _learned_numpy():
-    """The numpy module, or a loud CodecError for learned frames without it."""
-    from repro.baselines.learned import model as model_module
-
-    if model_module.np is None:
-        raise CodecError(
-            "decoding a learned-filter frame requires numpy (the model weights "
-            "revive as a numpy array)"
-        )
-    return model_module.np
-
-
 def _encode_model(writer: _Writer, model) -> None:
     writer.u32(model._num_features)
     writer.u8(len(model._ngram_sizes))
@@ -544,7 +534,6 @@ def _encode_model(writer: _Writer, model) -> None:
 
 
 def _decode_model(reader: _Reader):
-    np = _learned_numpy()
     from repro.baselines.learned.model import KeyScoreModel
 
     num_features = reader.u32()
@@ -610,7 +599,6 @@ def _encode_lbf(writer: _Writer, lbf) -> None:
 
 
 def _decode_lbf(reader: _Reader):
-    _learned_numpy()
     from repro.baselines.learned.lbf import LearnedBloomFilter
 
     lbf = LearnedBloomFilter.__new__(LearnedBloomFilter)
@@ -634,7 +622,6 @@ def _encode_slbf(writer: _Writer, slbf) -> None:
 
 
 def _decode_slbf(reader: _Reader):
-    _learned_numpy()
     from repro.baselines.learned.slbf import SandwichedLearnedBloomFilter
 
     slbf = SandwichedLearnedBloomFilter.__new__(SandwichedLearnedBloomFilter)
@@ -664,7 +651,6 @@ def _encode_adabf(writer: _Writer, adabf) -> None:
 
 
 def _decode_adabf(reader: _Reader):
-    _learned_numpy()
     from repro.baselines.learned.adabf import AdaptiveLearnedBloomFilter
 
     adabf = AdaptiveLearnedBloomFilter.__new__(AdaptiveLearnedBloomFilter)

@@ -60,6 +60,8 @@ import weakref
 from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import CodecError, ServiceError
 from repro.hashing import vectorized as vec
 from repro.hashing.base import Key
@@ -350,24 +352,12 @@ class _ReuseportRunner:
         self._thread.join(timeout=timeout)
 
 
-def _pack_verdicts(verdicts: List[bool]):
-    """Verdicts -> a compact wire payload (packed bitmap with numpy)."""
-    np = vec.numpy_or_none()
-    if np is None:
-        return list(verdicts)
+def _pack_verdicts(verdicts: List[bool]) -> bytes:
+    """Verdicts -> a compact wire payload (a packed bitmap)."""
     return np.packbits(np.asarray(verdicts, dtype=bool)).tobytes()
 
 
-def _unpack_verdicts(payload, count: int) -> List[bool]:
-    if isinstance(payload, list):
-        return payload
-    np = vec.numpy_or_none()
-    if np is None:  # pragma: no cover - replica has numpy, parent does not
-        bits = []
-        for byte in payload:
-            for offset in range(7, -1, -1):
-                bits.append(bool((byte >> offset) & 1))
-        return bits[:count]
+def _unpack_verdicts(payload: bytes, count: int) -> List[bool]:
     return (
         np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=count)
         .astype(bool)

@@ -676,28 +676,27 @@ apply_to_service`: validates the delta against the serving snapshot,
                 f"batch of {len(keys)} keys rejected; accepted sizes are "
                 f"1..{self._max_batch_size}"
             )
+        batch = vec.as_batch(keys)
         snapshot = self._serving_snapshot()
         start = time.perf_counter()
-        answers = snapshot.store.query_many(keys)
+        answers = snapshot.store.query_many(batch)
         elapsed = time.perf_counter() - start
         positives = sum(answers)
-        self._queries.inc(len(keys))
+        self._queries.inc(len(batch))
         self._batches.inc()
         if positives:
             self._positives.inc(positives)
-        per_key = elapsed / len(keys)
+        per_key = elapsed / len(batch)
         self._latency.record(per_key)
         self._query_seconds.observe(per_key)
         estimator = self._fpr
         if positives and estimator is not None and estimator.active:
-            if isinstance(keys, vec.KeyBatch):
-                raw = keys.keys
-                # Memoised on the batch: query_many's router pass is reused.
-                shards = snapshot.store.shards_of_many(keys)
-            else:
-                raw, shards = keys, None
+            # Memoised on the batch: query_many's router pass is reused.
             estimator.observe_batch(
-                raw, answers, snapshot.store.shard_of, shards=shards
+                batch.keys,
+                answers,
+                snapshot.store.shard_of,
+                shards=snapshot.store.shards_of_many(batch),
             )
         return BatchAnswer(
             verdicts=answers, generation=snapshot.generation, elapsed_seconds=elapsed

@@ -32,6 +32,8 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.habf import HABF, HABFProbePlan
 from repro.errors import ConfigurationError
 from repro.hashing import vectorized as vec
@@ -45,7 +47,6 @@ from repro.service.stats import ShardStats
 #: xxhash pass, different mixes), so placement and fingerprints stay
 #: statistically independent.
 _FINGERPRINT_SALT = 0x4650_5244_4947_5354  # "FPRDIGST"
-_MASK64 = (1 << 64) - 1
 
 
 class EmptyShardFilter:
@@ -68,7 +69,6 @@ class EmptyShardFilter:
         return [False for _ in keys]
 
     def _contains_batch(self, batch):
-        np = vec.numpy_or_none()
         return np.zeros(len(batch), dtype=bool)
 
     def size_in_bits(self) -> int:
@@ -113,17 +113,15 @@ class ShardRouter:
     def shard_of_many(self, batch: "vec.KeyBatch"):
         """Vector form of :meth:`shard_of` over an encoded batch.
 
-        Returns an int64 ndarray of shard indexes; requires numpy (callers
-        gate on the engine and fall back to per-key routing without it).
-        The partition is memoised on the batch like a hash pass, so the
-        query path and the FPR estimator's shadow sampling share one router
-        evaluation per window.
+        Returns an int64 ndarray of shard indexes.  The partition is
+        memoised on the batch like a hash pass, so the query path and the
+        FPR estimator's shadow sampling share one router evaluation per
+        window.
         """
         cache_key = ("shards", self._salt, self._num_shards)
         cached = batch.cache.get(cache_key)
         if cached is not None:
             return cached
-        np = vec.numpy_or_none()
         values = vec.hash_batch(xxhash, batch)
         salted = vec.mix64(values ^ np.uint64(self._salt))
         result = (salted % np.uint64(self._num_shards)).astype(np.int64)
@@ -277,18 +275,17 @@ class ShardedFilterStore:
     ) -> Tuple[List[List[Key]], List[List[Key]], List[Optional[dict]], List[int]]:
         """Split keys/negatives/costs per shard and digest each key set.
 
-        With numpy available, placement and fingerprint contributions come
-        from one vectorized xxhash pass (bit-identical to the scalar
-        :meth:`ShardRouter.route`, like every engine twin) — this matters
-        because the partition runs on *every* rebuild, including incremental
-        ones that then rebuild only a single shard.
+        Placement and fingerprint contributions come from one vectorized
+        xxhash pass (bit-identical to the scalar :meth:`ShardRouter.route`,
+        like every engine twin) — this matters because the partition runs on
+        *every* rebuild, including incremental ones that then rebuild only a
+        single shard.
         """
         num_shards = router.num_shards
         shard_keys: List[List[Key]] = [[] for _ in range(num_shards)]
         fingerprints = [0] * num_shards
-        np = vec.numpy_or_none()
-        if np is not None and len(keys):
-            batch = keys if isinstance(keys, vec.KeyBatch) else vec.KeyBatch(list(keys))
+        if len(keys):
+            batch = vec.as_batch(keys)
             values = vec.hash_batch(xxhash, batch)
             shards = (
                 vec.mix64(values ^ np.uint64(router.seed_salt))
@@ -300,18 +297,10 @@ class ShardedFilterStore:
             fingerprints = [int(value) for value in digests]
             for key, shard in zip(batch.keys, shards.tolist()):
                 shard_keys[shard].append(key)
-        else:
-            for key in keys:
-                shard, contribution = router.route(key)
-                shard_keys[shard].append(key)
-                fingerprints[shard] = (fingerprints[shard] + contribution) & _MASK64
         shard_negatives: List[List[Key]] = [[] for _ in range(num_shards)]
         if negatives:
             negatives = list(negatives)
-            if np is not None:
-                routed = router.shard_of_many(vec.KeyBatch(negatives)).tolist()
-            else:
-                routed = [router.shard_of(key) for key in negatives]
+            routed = router.shard_of_many(vec.KeyBatch(negatives)).tolist()
             for key, shard in zip(negatives, routed):
                 shard_negatives[shard].append(key)
         shard_costs: List[Optional[dict]] = [None] * num_shards
@@ -804,14 +793,12 @@ class ShardedFilterStore:
         return self._router.shard_of(key)
 
     def shards_of_many(self, batch: "vec.KeyBatch"):
-        """Vectorized routing for an encoded batch, or ``None`` without numpy.
+        """Vectorized routing for an encoded batch: an int64 ndarray of shards.
 
         One router pass over the whole batch; callers that need a shard per
         key (the FPR estimator shadow-sampling a large positive batch) use
         this instead of re-hashing each key through :meth:`shard_of`.
         """
-        if vec.numpy_or_none() is None:
-            return None
         return self._router.shard_of_many(batch)
 
     def query(self, key: Key) -> bool:
@@ -828,84 +815,18 @@ class ShardedFilterStore:
     def query_many(self, keys: "vec.BatchLike") -> List[bool]:
         """Batch membership test, in input order.
 
-        With numpy available the whole batch is encoded once, the shard
-        partition is one vectorized router pass, the HABF shards that share
-        a hash family answer all their rows with one fused two-round program,
-        and each other shard's group is answered with one engine call
-        (sharing the encoded sub-batch with the filter's array program).
-        Callers that already hold an encoded
-        :class:`~repro.hashing.vectorized.KeyBatch` (the asyncio
-        micro-batcher encodes its flush window before dispatch) may pass it
-        directly and the encoding is reused.  Without numpy, keys are grouped
-        per shard and answered through each filter's ``contains_many``
-        fallback.
+        The whole batch is encoded once, the shard partition is one
+        vectorized router pass, the HABF shards that share a hash family
+        answer all their rows with one fused two-round program, and each
+        other shard's group is answered with one engine call (sharing the
+        encoded sub-batch with the filter's array program).  Callers that
+        already hold an encoded :class:`~repro.hashing.vectorized.KeyBatch`
+        (the asyncio micro-batcher encodes its flush window before dispatch)
+        may pass it directly and the encoding is reused.
         """
-        np = vec.numpy_or_none()
-        if isinstance(keys, vec.KeyBatch):
-            if np is not None and len(keys):
-                return self._query_many_vectorized(np, keys)
-            keys = list(keys.keys)
-        else:
-            keys = list(keys)
-            if np is not None and keys:
-                return self._query_many_vectorized(np, vec.KeyBatch(keys))
-        results: List[bool] = [False] * len(keys)
-        groups: dict = {}
-        for position, key in enumerate(keys):
-            groups.setdefault(self._router.shard_of(key), []).append(position)
-        for shard, positions in groups.items():
-            filt = self._filters[shard]
-            shard_keys = [keys[position] for position in positions]
-            with stage("shard_probe", shard=shard, backend=self._backend_name):
-                batch = getattr(filt, "contains_many", None)
-                if batch is not None:
-                    answers = batch(shard_keys)
-                else:
-                    answers = [filt.contains(key) for key in shard_keys]
-            hits = 0
-            for position, answer in zip(positions, answers):
-                results[position] = bool(answer)
-                if answer:
-                    hits += 1
-            with self._stats_lock:
-                stats = self._stats[shard]
-                stats.queries += len(positions)
-                stats.positives += hits
-        return results
-
-    def _probe_groups(self) -> List[Tuple["HABFProbePlan", object, object]]:
-        """The store's fused HABF programs: ``(plan, member shards, slot per shard)``.
-
-        Resident HABF / f-HABF shards with equal
-        :meth:`~repro.core.habf.HABF.probe_plan_key` share one
-        :class:`~repro.core.habf.HABFProbePlan`; ``slot[shard]`` is the
-        shard's part in it (-1 for shards outside the group).  Every other
-        shard — Bloom, Xor, empty shards, lazy disk proxies (never decoded
-        here) — keeps its own engine call.  Built once per store object;
-        filters are immutable, so the plan stays valid for its lifetime.
-        """
-        groups = self._groups
-        if groups is None:
-            np = vec.numpy_or_none()
-            members: Dict[tuple, List[int]] = {}
-            for shard, filt in enumerate(self._filters):
-                if isinstance(filt, HABF) and filt.built:
-                    members.setdefault(filt.probe_plan_key(), []).append(shard)
-            groups = []
-            for shards in members.values():
-                slot = np.full(len(self._filters), -1, dtype=np.intp)
-                slot[shards] = np.arange(len(shards))
-                plan = HABFProbePlan([self._filters[shard] for shard in shards])
-                groups.append((plan, np.asarray(shards), slot))
-            self._groups = groups
-        return groups
-
-    def _query_many_vectorized(self, np, batch: "vec.KeyBatch") -> List[bool]:
-        """Engine path of :meth:`query_many`: one partition, one gather.
-
-        Each fused HABF group answers all of its rows with one program;
-        the remaining shards answer their own rows one engine call each.
-        """
+        batch = vec.as_batch(keys)
+        if not len(batch):
+            return []
         shards = self._router.shard_of_many(batch)
         results = np.zeros(len(batch), dtype=bool)
         unserved = None
@@ -952,6 +873,32 @@ class ShardedFilterStore:
                 stats.positives += int(np.count_nonzero(answers))
         return results.tolist()
 
+    def _probe_groups(self) -> List[Tuple["HABFProbePlan", object, object]]:
+        """The store's fused HABF programs: ``(plan, member shards, slot per shard)``.
+
+        Resident HABF / f-HABF shards with equal
+        :meth:`~repro.core.habf.HABF.probe_plan_key` share one
+        :class:`~repro.core.habf.HABFProbePlan`; ``slot[shard]`` is the
+        shard's part in it (-1 for shards outside the group).  Every other
+        shard — Bloom, Xor, empty shards, lazy disk proxies (never decoded
+        here) — keeps its own engine call.  Built once per store object;
+        filters are immutable, so the plan stays valid for its lifetime.
+        """
+        groups = self._groups
+        if groups is None:
+            members: Dict[tuple, List[int]] = {}
+            for shard, filt in enumerate(self._filters):
+                if isinstance(filt, HABF) and filt.built:
+                    members.setdefault(filt.probe_plan_key(), []).append(shard)
+            groups = []
+            for shards in members.values():
+                slot = np.full(len(self._filters), -1, dtype=np.intp)
+                slot[shards] = np.arange(len(shards))
+                plan = HABFProbePlan([self._filters[shard] for shard in shards])
+                groups.append((plan, np.asarray(shards), slot))
+            self._groups = groups
+        return groups
+
     def _count_traffic(self, queries, positives) -> None:
         """Add per-shard query / positive counts (ndarrays indexed by shard)."""
         with self._stats_lock:
@@ -967,30 +914,18 @@ class ShardedFilterStore:
         whose stores never touch the parent's counters; the parent feeds
         each dispatched window back through this so adaptive scoring sees
         per-shard queries/positives for replica traffic too.  Returns the
-        routed shard per key (an int64 ndarray with numpy, a plain list
-        without) so callers can hand the same routing pass to the FPR
+        routed shard per key (an int64 ndarray) so callers can hand the same routing pass to the FPR
         estimator instead of re-hashing the window.
         """
-        np = vec.numpy_or_none()
-        if np is not None:
-            batch = keys if isinstance(keys, vec.KeyBatch) else vec.KeyBatch(list(keys))
-            if not len(batch):
-                return np.zeros(0, dtype=np.int64)
-            shards = self._router.shard_of_many(batch)
-            hits = np.asarray(verdicts, dtype=bool)
-            self._count_traffic(
-                np.bincount(shards, minlength=self.num_shards),
-                np.bincount(shards[hits], minlength=self.num_shards),
-            )
-            return shards
-        plain = list(keys.keys) if isinstance(keys, vec.KeyBatch) else list(keys)
-        shards = [self._router.shard_of(key) for key in plain]
-        with self._stats_lock:
-            for shard, verdict in zip(shards, verdicts):
-                stats = self._stats[shard]
-                stats.queries += 1
-                if verdict:
-                    stats.positives += 1
+        batch = vec.as_batch(keys)
+        if not len(batch):
+            return np.zeros(0, dtype=np.int64)
+        shards = self._router.shard_of_many(batch)
+        hits = np.asarray(verdicts, dtype=bool)
+        self._count_traffic(
+            np.bincount(shards, minlength=self.num_shards),
+            np.bincount(shards[hits], minlength=self.num_shards),
+        )
         return shards
 
     def __contains__(self, key: Key) -> bool:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-pytest.importorskip("numpy")  # the learned baselines train in numpy
 
 from repro.baselines.learned.adabf import AdaptiveLearnedBloomFilter
 from repro.baselines.learned.lbf import LearnedBloomFilter

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.baselines.learned.model import KeyScoreModel
 from repro.errors import ConfigurationError

@@ -28,6 +28,15 @@ class TestConstruction:
         assert xor.num_keys == 3
         assert "a" in xor and "b" in xor and "c" in xor
 
+    def test_keys_with_one_encoding_are_deduplicated(self):
+        # "a" and b"a" normalise to the same bytes and so to the same slots;
+        # peeling must see them once or it can never succeed.
+        keys = ["a", b"a"] + [f"k{i}" for i in range(100)]
+        for xor in (XorFilter(keys), XorFilter.from_bits_per_key(keys, 10.0)):
+            assert xor.num_keys == 101
+            assert all(xor.contains_many(keys))
+            assert all(xor.contains(key) for key in keys)
+
     @pytest.mark.parametrize("count", [1, 2, 10, 500, 3000])
     def test_various_sizes_build(self, count):
         keys = make_keys("k", count)

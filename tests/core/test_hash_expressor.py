@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.hash_expressor import HashExpressor
@@ -144,7 +145,6 @@ class TestBatchWalk:
         return expressor, keys
 
     def test_query_many_batch_matches_scalar_and_tracks_inserts(self):
-        np = pytest.importorskip("numpy")
         from repro.hashing.vectorized import KeyBatch
 
         expressor, keys = self._filled(1, 300)
@@ -163,7 +163,6 @@ class TestBatchWalk:
         assert isinstance(selections, np.ndarray)
 
     def test_stack_walks_each_row_in_its_own_part(self):
-        np = pytest.importorskip("numpy")
         from repro.hashing.vectorized import KeyBatch
 
         parts = [self._filled(seed, cells) for seed, cells in ((2, 97), (3, 300), (4, 64))]

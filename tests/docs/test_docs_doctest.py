@@ -12,8 +12,6 @@ from pathlib import Path
 
 import pytest
 
-pytest.importorskip("numpy")
-
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 DOCUMENTS = sorted(
     [REPO_ROOT / "README.md", *(REPO_ROOT / "docs").glob("*.md")]

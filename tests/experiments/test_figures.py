@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import pytest
 
-pytest.importorskip("numpy")  # the figure suites include the learned baselines
 
 from repro.experiments import (
     fig08_bounds,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-pytest.importorskip("numpy")  # run_all regenerates figures that train learned filters
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ExperimentResult

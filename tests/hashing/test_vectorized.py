@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.hashing import primitives as scalar_primitives
 from repro.hashing import vectorized
@@ -99,15 +98,6 @@ def test_double_family_base_pass_is_memoised(tiny_keys):
     first = family.base_hashes_many(batch)
     second = family.base_hashes_many(batch)
     assert first[0] is second[0] and first[1] is second[1]
-
-
-def test_hash_many_fallback_without_numpy(tiny_keys, monkeypatch):
-    family = build_family(seed=3)
-    expected = family.hash_many(tiny_keys, indexes=[1, 4], modulus=211)
-    monkeypatch.setattr(vectorized, "np", None)
-    fallback = family.hash_many(tiny_keys, indexes=[1, 4], modulus=211)
-    assert isinstance(fallback, list)
-    assert fallback == expected.tolist()
 
 
 def test_hash_batch_falls_back_to_scalar_for_unknown_primitive(tiny_keys):

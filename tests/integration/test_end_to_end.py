@@ -104,7 +104,6 @@ class TestHeadlineClaims:
 
 class TestRegistryOnHeldOutData:
     def test_every_filter_evaluates_cleanly(self):
-        pytest.importorskip("numpy")  # the registry sweep includes the learned filters
         dataset = generate_shalla_like(800, 800, seed=31)
         total_bits = 10 * dataset.num_positives
         for name in ("HABF", "f-HABF", "BF", "Xor", "WBF", "LBF", "SLBF", "Ada-BF"):

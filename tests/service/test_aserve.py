@@ -446,25 +446,6 @@ def test_http_endpoints(service):
     assert lost[0] == 404
 
 
-# --------------------------------------------------------------------- #
-# numpy-less fallback
-# --------------------------------------------------------------------- #
-def test_front_end_without_numpy(service, monkeypatch):
-    from repro.hashing import vectorized
-
-    monkeypatch.setattr(vectorized, "np", None)
-
-    async def scenario():
-        async with AdaptiveMicroBatcher(service, max_batch=16, max_wait_ms=2.0) as front:
-            scalars = await asyncio.gather(*[front.query(key) for key in POSITIVES[:6]])
-            span, generation = await front.query_many_with_generation(NEGATIVES[:3])
-            return scalars, span, generation
-
-    scalars, span, generation = run(scenario())
-    assert scalars == [True] * 6
-    assert span == [False] * 3 and generation == 1
-
-
 def test_shared_batcher_survives_server_close(service):
     async def scenario():
         async with AdaptiveMicroBatcher(service, max_wait_ms=1.0) as shared:

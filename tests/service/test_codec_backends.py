@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.service import codec
 from repro.service.backends import available_backends, get_backend
 from repro.service.shards import ShardedFilterStore
@@ -37,15 +36,9 @@ def costs(dataset):
 
 
 def _build(name, dataset, costs):
-    policy = get_backend(name)
-    try:
-        return policy.create_filter(
-            dataset.positives, negatives=dataset.negatives, costs=costs
-        )
-    except ConfigurationError as exc:
-        if "numpy" in str(exc):
-            pytest.skip(f"backend {name!r} needs numpy to build")
-        raise
+    return get_backend(name).create_filter(
+        dataset.positives, negatives=dataset.negatives, costs=costs
+    )
 
 
 @pytest.mark.parametrize("name", available_backends())

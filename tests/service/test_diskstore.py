@@ -26,7 +26,7 @@ import zlib
 
 import pytest
 
-from repro.errors import CodecError, ConfigurationError, ServiceError
+from repro.errors import CodecError, ServiceError
 from repro.obs import Registry
 from repro.obs.export import render_text
 from repro.service import codec
@@ -304,14 +304,9 @@ class TestLifecycle:
 # Eviction / re-admission equivalence (per backend)
 # --------------------------------------------------------------------- #
 def _build_filter(name, dataset, costs):
-    try:
-        return get_backend(name).create_filter(
-            dataset.positives, negatives=dataset.negatives, costs=costs
-        )
-    except ConfigurationError as exc:
-        if "numpy" in str(exc):
-            pytest.skip(f"backend {name!r} needs numpy to build")
-        raise
+    return get_backend(name).create_filter(
+        dataset.positives, negatives=dataset.negatives, costs=costs
+    )
 
 
 @pytest.mark.parametrize("name", available_backends())

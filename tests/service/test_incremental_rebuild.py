@@ -98,24 +98,30 @@ def test_fingerprints_are_order_independent_and_key_sensitive(dataset):
 
 
 def test_partition_engine_path_matches_scalar(dataset):
-    """Fingerprints and placement must be identical with and without numpy.
+    """Placement and fingerprints must equal per-key :meth:`ShardRouter.route`.
 
-    A snapshot written on a numpy machine must diff cleanly against a
-    rebuild on a numpy-less one (and vice versa); any drift between the
-    vectorized and scalar partition passes would silently dirty — or worse,
-    silently skip — shards.
+    The vectorized partition pass replaces one scalar ``route`` per key; any
+    drift between the two would silently dirty — or worse, silently skip —
+    shards when a rebuild diffs its fingerprints against a snapshot.
     """
-    from repro.hashing import vectorized as vec
-
     router = ShardRouter(6, seed=3)
     keys = dataset.positives[:500]
     negatives = dataset.negatives[:300]
-    engine = ShardedFilterStore._partition(router, keys, negatives, None)
-    with vec.force_scalar():
-        scalar = ShardedFilterStore._partition(router, keys, negatives, None)
-    assert engine[0] == scalar[0]  # per-shard keys, in arrival order
-    assert engine[1] == scalar[1]  # per-shard negatives
-    assert engine[3] == scalar[3]  # fingerprints
+    shard_keys, shard_negatives, _costs, fingerprints = ShardedFilterStore._partition(
+        router, keys, negatives, None
+    )
+    expected_keys = [[] for _ in range(6)]
+    expected_fingerprints = [0] * 6
+    for key in keys:
+        shard, contribution = router.route(key)
+        expected_keys[shard].append(key)
+        expected_fingerprints[shard] = (expected_fingerprints[shard] + contribution) % 2**64
+    expected_negatives = [[] for _ in range(6)]
+    for key in negatives:
+        expected_negatives[router.shard_of(key)].append(key)
+    assert shard_keys == expected_keys  # per-shard keys, in arrival order
+    assert shard_negatives == expected_negatives
+    assert fingerprints == expected_fingerprints
 
 
 def test_fingerprints_survive_the_codec(dataset):
